@@ -58,6 +58,23 @@ struct EngineRun {
     reuse_memo: bool,
 }
 
+/// The engine study's model (GPT2-S-MoE on 16 A100s, 4 layers when
+/// `quick`), its forward graph, and the optimizer whose estimator prices it.
+fn engine_inputs(
+    quick: bool,
+) -> (lancet_models::GptMoeConfig, lancet_ir::Graph, lancet_core::Lancet) {
+    let gpus = 16;
+    let cfg = paper_config(Model::S, ClusterKind::A100, gpus, GateKind::Switch);
+    let cfg = if quick { cfg.with_layers(4) } else { cfg };
+    let forward = lancet_models::build_forward(&cfg).expect("build").graph;
+    let lancet = lancet_core::Lancet::new(
+        lancet_cost::ClusterSpec::a100(gpus / 8),
+        gpus,
+        lancet_core::LancetOptions::default(),
+    );
+    (cfg, forward, lancet)
+}
+
 /// Times one partition-pass run and returns `(wall seconds, report)`.
 fn time_partition(
     forward: &lancet_ir::Graph,
@@ -76,15 +93,7 @@ fn time_partition(
 /// reports end-to-end optimization time; this isolates the partition
 /// pass — where that time goes — on GPT2-S-MoE with default options.
 pub fn run_engine(quick: bool) -> Vec<Record> {
-    let gpus = 16;
-    let cfg = paper_config(Model::S, ClusterKind::A100, gpus, GateKind::Switch);
-    let cfg = if quick { cfg.with_layers(4) } else { cfg };
-    let forward = lancet_models::build_forward(&cfg).expect("build").graph;
-    let lancet = lancet_core::Lancet::new(
-        lancet_cost::ClusterSpec::a100(gpus / 8),
-        gpus,
-        lancet_core::LancetOptions::default(),
-    );
+    let (cfg, forward, lancet) = engine_inputs(quick);
     let estimator = lancet.estimator();
 
     let configs = [
@@ -146,7 +155,7 @@ pub fn run_engine(quick: bool) -> Vec<Record> {
         let mut r = Record::new("fig15_engine");
         r.model = cfg.name.clone();
         r.cluster = "A100".into();
-        r.gpus = gpus;
+        r.gpus = cfg.gpus;
         r.system = run.system.into();
         r.gate = "switch".into();
         r.opt_time_s = Some(secs);
@@ -173,13 +182,23 @@ pub fn run_engine(quick: bool) -> Vec<Record> {
 mod tests {
     use super::*;
 
-    /// The PR's acceptance gate: the default engine with a warm memo —
-    /// the steady state of repeated `Lancet::optimize` calls — is at
-    /// least 2x faster than the sequential, unmemoized search on
-    /// GPT2-S-MoE; the cold engine is no slower and already reports memo
-    /// hits; every engine returns bit-identical results (asserted inside
-    /// `run_engine`). Thread workers add speedup only on multi-core
-    /// hosts, so this gate does not depend on them.
+    /// Median of `samples`.
+    fn median(mut samples: Vec<f64>) -> f64 {
+        samples.sort_by(f64::total_cmp);
+        samples[samples.len() / 2]
+    }
+
+    /// The default engine with a warm memo — the steady state of
+    /// repeated `Lancet::optimize` calls — is at least 2x faster than the
+    /// sequential, unmemoized search on GPT2-S-MoE; the cold engine is no
+    /// slower and already reports memo hits; every engine returns
+    /// bit-identical results (asserted inside `run_engine`). Thread
+    /// workers add speedup only on multi-core hosts, so this gate does
+    /// not depend on them.
+    ///
+    /// At the quick shape the cold and sequential engines take about the
+    /// same time, so one run of each is at the mercy of host noise: the
+    /// cold-vs-sequential bound compares medians of interleaved runs.
     #[test]
     fn engine_speedup_at_least_2x() {
         let records = run_engine(true);
@@ -192,15 +211,27 @@ mod tests {
                 .expect("missing engine record")
         };
         let sequential = secs("sequential (baseline)");
-        let cold = secs("parallel+memo (cold)");
         let warm = secs("parallel+memo (warm)");
         assert!(
             sequential >= 2.0 * warm,
             "warm memoized search not 2x faster: sequential {sequential}s vs warm {warm}s"
         );
+
+        const RUNS: usize = 5;
+        let (_, forward, lancet) = engine_inputs(true);
+        let sequential_opts = PartitionOptions { workers: 1, memoize: false, ..Default::default() };
+        let (mut sequential, mut cold) = (Vec::new(), Vec::new());
+        for _ in 0..RUNS {
+            let time = |opts| {
+                time_partition(&forward, lancet.estimator(), opts, &PartitionMemo::new()).0
+            };
+            sequential.push(time(&sequential_opts));
+            cold.push(time(&PartitionOptions::default()));
+        }
+        let (sequential, cold) = (median(sequential), median(cold));
         assert!(
             cold <= sequential * 1.2,
-            "cold memoized search regressed: sequential {sequential}s vs cold {cold}s"
+            "cold memoized search regressed: median sequential {sequential}s vs cold {cold}s"
         );
         let hit_rate =
             records.iter().find(|r| r.system == "parallel+memo (cold)").unwrap().extra.unwrap();

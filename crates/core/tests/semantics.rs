@@ -92,6 +92,7 @@ fn options() -> LancetOptions {
         backward: BackwardOptions { sgd_lr: Some(0.05), optimizer: Default::default(), allreduce_grads: false },
         prefetch_lookahead: 1,
         placement: None,
+        ..LancetOptions::default()
     }
 }
 

@@ -39,9 +39,9 @@
 //! Streams therefore observe a gapless token sequence followed by one
 //! terminal event, no matter what the injector does.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::collections::HashMap;
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -49,8 +49,9 @@ use lancet_core::{Lancet, LancetOptions};
 use lancet_cost::{ClusterKind, ClusterSpec};
 use lancet_models::GptMoeConfig;
 use lancet_serve::{
-    canonical_weights, CanonicalWeights, FaultInjector, FaultSpec, Metrics, Plan, PlanCache,
-    PlanKey, Result, ServeError, ServeStats,
+    canonical_weights, resolve_knob, resolve_queue_depth, BoundedQueue, CanonicalWeights,
+    FaultInjector, FaultSpec, Metrics, Phase, Plan, PlanCache, PlanKey, Registry, Result,
+    ServeError, ServeStats, Wait,
 };
 use lancet_tensor::Tensor;
 
@@ -88,12 +89,9 @@ pub struct DecodeConfig {
     /// continuous batch (`None` → `LANCET_DECODE_STEP_DEADLINE_MS` → 0,
     /// i.e. never wait). Trades a bounded ITL bump for larger steps.
     pub step_deadline: Option<Duration>,
-    /// Admission queue bound (0 → 256); excess submissions are rejected
-    /// with [`ServeError::Overloaded`].
+    /// Admission queue bound (0 → `LANCET_SERVE_QUEUE_DEPTH` → 256);
+    /// excess submissions are rejected with [`ServeError::Overloaded`].
     pub queue_depth: usize,
-    /// Prefill through cached seq-bucketed plans (`true`) or always
-    /// eagerly per prompt (`false`).
-    pub prefill_buckets: bool,
     /// Prefill plan-cache capacity.
     pub plan_capacity: usize,
     /// Retries per decode step / prefill execution before the affected
@@ -116,57 +114,11 @@ impl Default for DecodeConfig {
             kv_capacity_tokens: 0,
             step_deadline: None,
             queue_depth: 0,
-            prefill_buckets: true,
             plan_capacity: 8,
             max_retries: 2,
             retry_backoff: Duration::from_millis(1),
             seed: 0xdec0,
             fault: None,
-        }
-    }
-}
-
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.trim().parse().ok().filter(|&v| v > 0)
-}
-
-fn resolve(v: usize, env: &str, default: usize) -> usize {
-    if v > 0 {
-        v
-    } else {
-        env_usize(env).unwrap_or(default)
-    }
-}
-
-/// Resolved runtime limits (config → env → default).
-#[derive(Debug, Clone)]
-struct Limits {
-    mode: BatchMode,
-    max_inflight: usize,
-    kv_capacity_tokens: usize,
-    step_deadline: Duration,
-    queue_depth: usize,
-    prefill_buckets: bool,
-    max_retries: u32,
-    retry_backoff: Duration,
-    cluster: ClusterKind,
-}
-
-impl Limits {
-    fn from(cfg: &DecodeConfig) -> Self {
-        let step_deadline = cfg.step_deadline.unwrap_or_else(|| {
-            Duration::from_millis(env_usize("LANCET_DECODE_STEP_DEADLINE_MS").unwrap_or(0) as u64)
-        });
-        Limits {
-            mode: cfg.mode,
-            max_inflight: resolve(cfg.max_inflight, "LANCET_DECODE_INFLIGHT", 8),
-            kv_capacity_tokens: resolve(cfg.kv_capacity_tokens, "LANCET_DECODE_KV_TOKENS", 4096),
-            step_deadline,
-            queue_depth: resolve(cfg.queue_depth, "LANCET_SERVE_QUEUE_DEPTH", 256),
-            prefill_buckets: cfg.prefill_buckets,
-            max_retries: cfg.max_retries,
-            retry_backoff: cfg.retry_backoff,
-            cluster: cfg.cluster,
         }
     }
 }
@@ -178,8 +130,9 @@ struct ModelEntry {
     canonical: CanonicalWeights,
 }
 
+/// A queued request, with the model it was admitted for.
 struct Pending {
-    model: String,
+    entry: Arc<ModelEntry>,
     prompt: Vec<u32>,
     max_new: usize,
     handle: StreamHandle,
@@ -187,15 +140,13 @@ struct Pending {
 }
 
 struct Shared {
-    limits: Limits,
-    queue: Mutex<VecDeque<Pending>>,
-    cv: Condvar,
-    shutting_down: AtomicBool,
-    models: Mutex<HashMap<String, Arc<ModelEntry>>>,
+    /// The configuration with every zero/`None` knob resolved.
+    config: DecodeConfig,
+    queue: BoundedQueue<Pending>,
+    models: Registry<ModelEntry>,
     metrics: Metrics,
     cache: PlanCache,
     injector: Option<FaultInjector>,
-    seed: u64,
 }
 
 /// An in-flight sequence owned by the scheduler.
@@ -218,7 +169,7 @@ struct ModelRun {
     active: Vec<Active>,
 }
 
-/// The decode-serving runtime. See the [module docs](self).
+/// The decode-serving runtime. See the [crate docs](crate).
 pub struct DecodeRuntime {
     shared: Arc<Shared>,
     scheduler: Mutex<Option<JoinHandle<()>>>,
@@ -227,23 +178,29 @@ pub struct DecodeRuntime {
 impl DecodeRuntime {
     /// Start the runtime: spawns the scheduler thread.
     pub fn start(cfg: DecodeConfig) -> Self {
-        let limits = Limits::from(&cfg);
+        let deadline_ms = resolve_knob(0, "LANCET_DECODE_STEP_DEADLINE_MS", 0) as u64;
         let shared = Arc::new(Shared {
-            limits,
-            queue: Mutex::new(VecDeque::new()),
-            cv: Condvar::new(),
-            shutting_down: AtomicBool::new(false),
-            models: Mutex::new(HashMap::new()),
+            queue: BoundedQueue::new(resolve_queue_depth(cfg.queue_depth)),
+            models: Registry::default(),
             metrics: Metrics::new(),
             cache: PlanCache::new(cfg.plan_capacity.max(1)),
             injector: cfg.fault.clone().map(FaultInjector::new),
-            seed: cfg.seed,
+            config: DecodeConfig {
+                max_inflight: resolve_knob(cfg.max_inflight, "LANCET_DECODE_INFLIGHT", 8),
+                kv_capacity_tokens: resolve_knob(
+                    cfg.kv_capacity_tokens,
+                    "LANCET_DECODE_KV_TOKENS",
+                    4096,
+                ),
+                step_deadline: cfg.step_deadline.or(Some(Duration::from_millis(deadline_ms))),
+                ..cfg
+            },
         });
         let sched = {
             let shared = shared.clone();
             thread::Builder::new()
                 .name("lancet-decode-scheduler".into())
-                .spawn(move || Scheduler::new(shared).run())
+                .spawn(move || Scheduler { shared, runs: HashMap::new(), panics: 0 }.run())
                 .expect("spawn decode scheduler")
         };
         DecodeRuntime { shared, scheduler: Mutex::new(Some(sched)) }
@@ -253,10 +210,16 @@ impl DecodeRuntime {
     /// count (drop-free routing — the batched-equals-solo precondition),
     /// initializes canonical weights, and builds the eager decode engine
     /// plus a partition-disabled optimizer for prefill plans.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::BadRequest`] if the name is already registered or
+    /// the model is outside what the decode engine supports.
     pub fn register_model(&self, cfg: GptMoeConfig) -> Result<()> {
-        let normalized = cfg.clone().with_capacity_factor(cfg.experts() as f64);
-        let canonical = canonical_weights(&normalized, self.shared.seed)?;
-        self.register_entry(normalized, canonical, None)
+        self.shared.models.register(&cfg, |cfg| {
+            let canonical = canonical_weights(&cfg, self.shared.config.seed)?;
+            self.model_entry(cfg, canonical, None)
+        })
     }
 
     /// [`register_model`](Self::register_model) with caller-supplied
@@ -272,43 +235,32 @@ impl DecodeRuntime {
         &self,
         cfg: GptMoeConfig,
         canonical: CanonicalWeights,
-        packs: Option<&std::collections::HashMap<String, Arc<lancet_tensor::PackedTensor>>>,
+        packs: Option<&HashMap<String, Arc<lancet_tensor::PackedTensor>>>,
     ) -> Result<()> {
-        let normalized = cfg.clone().with_capacity_factor(cfg.experts() as f64);
-        self.register_entry(normalized, canonical, packs)
+        self.shared.models.register(&cfg, |cfg| self.model_entry(cfg, canonical, packs))
     }
 
-    fn register_entry(
+    /// Builds a registry entry for the already-normalized `cfg`.
+    fn model_entry(
         &self,
-        normalized: GptMoeConfig,
+        cfg: GptMoeConfig,
         canonical: CanonicalWeights,
-        packs: Option<&std::collections::HashMap<String, Arc<lancet_tensor::PackedTensor>>>,
-    ) -> Result<()> {
-        let model = Arc::new(DecodeModel::new_with_packs(&normalized, &canonical, packs)?);
+        packs: Option<&HashMap<String, Arc<lancet_tensor::PackedTensor>>>,
+    ) -> Result<ModelEntry> {
+        let model = Arc::new(DecodeModel::new_with_packs(&cfg, &canonical, packs)?);
         let lancet = Lancet::new(
-            ClusterSpec::of(self.shared.limits.cluster, 1),
-            normalized.gpus,
+            ClusterSpec::of(self.shared.config.cluster, 1),
+            cfg.gpus,
             LancetOptions::decode_serving(),
         );
-        let entry = Arc::new(ModelEntry { cfg: normalized.clone(), model, lancet, canonical });
-        self.shared.models.lock().unwrap().insert(normalized.name.clone(), entry);
-        Ok(())
+        Ok(ModelEntry { cfg, model, lancet, canonical })
     }
 
     /// Submit a prompt for `max_new` greedily decoded tokens. Returns a
     /// [`StreamTicket`] delivering tokens as they are produced.
     pub fn submit(&self, model: &str, prompt: &[u32], max_new: usize) -> Result<StreamTicket> {
-        if self.shared.shutting_down.load(Ordering::SeqCst) {
-            return Err(ServeError::ShuttingDown);
-        }
-        let entry = self
-            .shared
-            .models
-            .lock()
-            .unwrap()
-            .get(model)
-            .cloned()
-            .ok_or_else(|| ServeError::UnknownModel(model.into()))?;
+        let shared = &self.shared;
+        let entry = shared.models.get(model)?;
         if prompt.is_empty() {
             return Err(ServeError::BadRequest("empty prompt".into()));
         }
@@ -316,10 +268,10 @@ impl DecodeRuntime {
             return Err(ServeError::BadRequest("max_new must be at least 1".into()));
         }
         let reserve = prompt.len() + max_new;
-        if reserve > self.shared.limits.kv_capacity_tokens {
+        if reserve > shared.config.kv_capacity_tokens {
             return Err(ServeError::BadRequest(format!(
                 "request needs {reserve} KV tokens, arena capacity is {}",
-                self.shared.limits.kv_capacity_tokens
+                shared.config.kv_capacity_tokens
             )));
         }
         if prompt.iter().any(|&t| t as usize >= entry.cfg.vocab) {
@@ -328,39 +280,24 @@ impl DecodeRuntime {
                 entry.cfg.vocab
             )));
         }
-        self.shared.metrics.submitted.fetch_add(1, Ordering::Relaxed);
         let (handle, ticket) = stream_channel();
-        {
-            let mut q = self.shared.queue.lock().unwrap();
-            if q.len() >= self.shared.limits.queue_depth {
-                self.shared.metrics.rejected_overload.fetch_add(1, Ordering::Relaxed);
-                return Err(ServeError::Overloaded { depth: self.shared.limits.queue_depth });
-            }
-            q.push_back(Pending {
-                model: model.into(),
-                prompt: prompt.to_vec(),
-                max_new,
-                handle,
-                submitted: Instant::now(),
-            });
-        }
-        self.shared.cv.notify_all();
+        let pending =
+            Pending { entry, prompt: prompt.to_vec(), max_new, handle, submitted: Instant::now() };
+        shared.queue.admit(pending, &shared.metrics)?;
         Ok(ticket)
     }
 
     /// Runtime statistics: serve's counters plus the decode latency
     /// distributions (`ttft_*`, `itl_*`).
     pub fn stats(&self) -> ServeStats {
-        let depth = self.shared.queue.lock().unwrap().len();
-        self.shared.metrics.snapshot(depth, self.shared.cache.stats())
+        self.shared.metrics.snapshot(self.shared.queue.len(), self.shared.cache.stats())
     }
 
     /// Drain and stop: in-flight sequences finish, queued requests are
     /// served, new submissions are refused with
     /// [`ServeError::ShuttingDown`].
     pub fn shutdown(&self) {
-        self.shared.shutting_down.store(true, Ordering::SeqCst);
-        self.shared.cv.notify_all();
+        self.shared.queue.drain();
         if let Some(h) = self.scheduler.lock().unwrap().take() {
             let _ = h.join();
         }
@@ -381,72 +318,62 @@ struct Scheduler {
 }
 
 impl Scheduler {
-    fn new(shared: Arc<Shared>) -> Self {
-        Scheduler { shared, runs: HashMap::new(), panics: 0 }
-    }
-
     fn run(&mut self) {
+        let shared = Arc::clone(&self.shared);
         loop {
             let admitted = self.admit();
-            let stepped = self.step_all();
-            if admitted || stepped {
-                // In continuous mode a positive step deadline lets
-                // arrivals join a non-full batch before the next step.
-                let limits = &self.shared.limits;
-                if limits.mode == BatchMode::Continuous
-                    && limits.step_deadline > Duration::ZERO
-                    && self.free_capacity()
-                {
-                    let q = self.shared.queue.lock().unwrap();
-                    if q.is_empty() {
-                        let _ = self.shared.cv.wait_timeout(q, limits.step_deadline).unwrap();
-                    }
+            let busy = self.step_all() || admitted;
+            // In continuous mode a positive step deadline lets arrivals
+            // join a non-full batch before the next step.
+            let max_inflight = shared.config.max_inflight;
+            let linger = shared.config.mode == BatchMode::Continuous
+                && self.runs.values().any(|r| r.active.len() < max_inflight);
+            let until = Instant::now().checked_add(shared.config.step_deadline.unwrap_or_default());
+            let done = shared.queue.wait_until(|queue, phase| {
+                let running = phase == Phase::Running;
+                if !queue.is_empty() {
+                    Wait::Ready(false)
+                } else if busy {
+                    let wait = linger && running && until.is_none_or(|t| Instant::now() < t);
+                    if wait { until.map_or(Wait::Idle, Wait::Until) } else { Wait::Ready(false) }
+                } else if running {
+                    Wait::Idle
+                } else {
+                    // Draining, with nothing queued or in flight.
+                    Wait::Ready(true)
                 }
-                continue;
-            }
-            // Idle: no admissible work, nothing in flight to step.
-            let q = self.shared.queue.lock().unwrap();
-            let draining = self.shared.shutting_down.load(Ordering::SeqCst);
-            if draining && q.is_empty() && self.runs.values().all(|r| r.active.is_empty()) {
+            });
+            if done {
                 return;
             }
-            if q.is_empty() {
-                let _ = self.shared.cv.wait_timeout(q, Duration::from_millis(20)).unwrap();
-            }
         }
-    }
-
-    fn free_capacity(&self) -> bool {
-        self.runs.values().any(|r| r.active.len() < self.shared.limits.max_inflight)
     }
 
     /// Pull admissible requests off the queue (FIFO, head-of-line
     /// blocking) and prefill them into the running batch. Returns
     /// whether anything was admitted.
     fn admit(&mut self) -> bool {
-        let limits = self.shared.limits.clone();
-        let mut staged: Vec<(String, Pending, SlotId)> = Vec::new();
-        {
-            let mut q = self.shared.queue.lock().unwrap();
-            while let Some(front) = q.front() {
-                let Some(entry) = self.shared.models.lock().unwrap().get(&front.model).cloned()
-                else {
-                    let p = q.pop_front().unwrap();
-                    p.handle.fail(ServeError::UnknownModel(p.model.clone()));
-                    self.shared.metrics.failed.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                };
-                let run = self.runs.entry(front.model.clone()).or_insert_with(|| ModelRun {
-                    arena: KvArena::new(entry.cfg.layers, entry.cfg.hidden, limits.kv_capacity_tokens),
+        let config = &self.shared.config;
+        let runs = &mut self.runs;
+        let staged: Vec<(Pending, SlotId)> = self.shared.queue.wait_until(|queue, _| {
+            let mut staged: Vec<(Pending, SlotId)> = Vec::new();
+            while let Some(front) = queue.front() {
+                let model = &front.entry.cfg.name;
+                let run = runs.entry(model.clone()).or_insert_with(|| ModelRun {
+                    arena: KvArena::new(
+                        front.entry.cfg.layers,
+                        front.entry.cfg.hidden,
+                        config.kv_capacity_tokens,
+                    ),
                     active: Vec::new(),
-                    entry,
+                    entry: Arc::clone(&front.entry),
                 });
-                let staged_here = staged.iter().filter(|(m, ..)| *m == front.model).count();
+                let staged_here = staged.iter().filter(|(p, _)| p.entry.cfg.name == *model).count();
                 let occupancy = run.active.len() + staged_here;
-                let admissible = match limits.mode {
-                    BatchMode::Continuous => occupancy < limits.max_inflight,
+                let admissible = match config.mode {
+                    BatchMode::Continuous => occupancy < config.max_inflight,
                     // Windowed: only an empty engine takes a new window.
-                    BatchMode::Windowed => run.active.is_empty() && occupancy < limits.max_inflight,
+                    BatchMode::Windowed => run.active.is_empty() && occupancy < config.max_inflight,
                 };
                 if !admissible {
                     break;
@@ -455,21 +382,21 @@ impl Scheduler {
                 let Some(slot) = run.arena.alloc(reserve) else {
                     break; // KV backpressure: stay queued until a slot frees.
                 };
-                let p = q.pop_front().unwrap();
-                staged.push((p.model.clone(), p, slot));
+                staged.push((queue.pop_front().expect("front exists"), slot));
             }
-        }
+            Wait::Ready(staged)
+        });
         let any = !staged.is_empty();
-        for (model, pending, slot) in staged {
-            self.prefill_admitted(&model, pending, slot);
+        for (pending, slot) in staged {
+            self.prefill_admitted(pending, slot);
         }
         any
     }
 
     /// Prefill one admitted request and install it as an active
     /// sequence, emitting its first token (TTFT).
-    fn prefill_admitted(&mut self, model: &str, pending: Pending, slot: SlotId) {
-        let run = self.runs.get_mut(model).expect("run created at admission");
+    fn prefill_admitted(&mut self, pending: Pending, slot: SlotId) {
+        let run = self.runs.get_mut(&pending.entry.cfg.name).expect("run created at admission");
         match prefill_with_retry(&self.shared, run, slot, &pending.prompt) {
             Ok(first) => {
                 let now = Instant::now();
@@ -523,7 +450,7 @@ fn prefill_with_retry(
     slot: SlotId,
     prompt: &[u32],
 ) -> Result<u32> {
-    let limits = &shared.limits;
+    let config = &shared.config;
     let mut attempt = 0u32;
     loop {
         let injected = shared.injector.as_ref().is_some_and(|i| i.exec_fault());
@@ -539,11 +466,11 @@ fn prefill_with_retry(
             Ok(first) => return Ok(first),
             Err(e) => {
                 attempt += 1;
-                if attempt > limits.max_retries {
+                if attempt > config.max_retries {
                     return Err(e);
                 }
                 shared.metrics.retried.fetch_add(1, Ordering::Relaxed);
-                thread::sleep(limits.retry_backoff);
+                thread::sleep(config.retry_backoff);
             }
         }
     }
@@ -552,16 +479,12 @@ fn prefill_with_retry(
 /// One prefill attempt: bucketed plan path with eager fallback.
 fn prefill_once(shared: &Shared, run: &mut ModelRun, slot: SlotId, prompt: &[u32]) -> Result<u32> {
     let entry = run.entry.clone();
-    if shared.limits.prefill_buckets {
-        match bucketed_prefill(shared, &entry, &mut run.arena, slot, prompt) {
-            Ok(first) => return Ok(first),
-            Err(_) => {
-                // Plan build or padded execution failed — degrade to the
-                // eager un-bucketed path instead of failing the request.
-                shared.metrics.degraded.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+    if let Ok(first) = bucketed_prefill(shared, &entry, &mut run.arena, slot, prompt) {
+        return Ok(first);
     }
+    // Plan build or padded execution failed — degrade to the eager
+    // un-bucketed path instead of failing the request.
+    shared.metrics.degraded.fetch_add(1, Ordering::Relaxed);
     let (logits, kvs) = entry.model.prefill_full(prompt)?;
     entry.model.seed_slot(&mut run.arena, slot, &kvs, prompt.len())?;
     let vocab = *logits.shape().last().unwrap();
@@ -584,7 +507,7 @@ fn bucketed_prefill(
         model: entry.cfg.name.clone(),
         bucket: 1,
         seq: bucket,
-        cluster: shared.limits.cluster,
+        cluster: shared.config.cluster,
         gpus: entry.cfg.gpus,
     };
     let plan = shared.cache.get_or_insert_with(&key, || {
@@ -609,7 +532,7 @@ fn bucketed_prefill(
 /// faults, emit exactly-once, commit or roll back the arena.
 /// Returns the updated partial-commit counter.
 fn step_batch(shared: &Shared, run: &mut ModelRun, mut panics: u64) -> u64 {
-    let limits = &shared.limits;
+    let config = &shared.config;
     let tokens: Vec<u32> = run.active.iter().map(|s| s.next_token).collect();
     let slots: Vec<SlotId> = run.active.iter().map(|s| s.slot).collect();
     let n = tokens.len();
@@ -636,12 +559,12 @@ fn step_batch(shared: &Shared, run: &mut ModelRun, mut panics: u64) -> u64 {
                     run.arena.rollback(slot);
                 }
                 attempt += 1;
-                if attempt > limits.max_retries {
+                if attempt > config.max_retries {
                     fail_batch(shared, run, e);
                     return panics;
                 }
                 shared.metrics.retried.fetch_add(1, Ordering::Relaxed);
-                thread::sleep(limits.retry_backoff);
+                thread::sleep(config.retry_backoff);
                 continue;
             }
         };
@@ -656,7 +579,7 @@ fn step_batch(shared: &Shared, run: &mut ModelRun, mut panics: u64) -> u64 {
         // kernels) and re-emits from index 0 of the step; the streams'
         // emit-by-index idempotence swallows the duplicates — the
         // exactly-once-per-token proof obligation of the chaos tests.
-        if shared.injector.as_ref().is_some_and(|i| i.worker_panic()) && attempt < limits.max_retries
+        if shared.injector.as_ref().is_some_and(|i| i.worker_panic()) && attempt < config.max_retries
         {
             shared.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
             shared.metrics.injected_faults.fetch_add(1, Ordering::Relaxed);

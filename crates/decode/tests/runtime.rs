@@ -12,7 +12,7 @@ use lancet_decode::{
 };
 use lancet_ir::GateKind;
 use lancet_models::GptMoeConfig;
-use lancet_serve::canonical_weights;
+use lancet_serve::{canonical_weights, FaultSpec};
 
 const SEED: u64 = 0xdec0; // DecodeConfig::default().seed
 
@@ -93,8 +93,12 @@ fn windowed_batching_reproduces_the_same_tokens() {
 
 #[test]
 fn bucketed_prefill_equals_eager_prefill() {
-    let bucketed = run_workload(DecodeConfig { prefill_buckets: true, ..DecodeConfig::default() });
-    let eager = run_workload(DecodeConfig { prefill_buckets: false, ..DecodeConfig::default() });
+    let bucketed = run_workload(DecodeConfig::default());
+    // Every plan build fails, so every prompt takes the eager fallback.
+    let eager = run_workload(DecodeConfig {
+        fault: Some(FaultSpec { plan_fail: 1.0, ..FaultSpec::quiet(SEED) }),
+        ..DecodeConfig::default()
+    });
     assert_eq!(
         bucketed, eager,
         "padded power-of-two prefill must be bit-identical to exact-length prefill"

@@ -35,28 +35,15 @@
 #![warn(missing_docs)]
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use lancet_models::GptMoeConfig;
 use lancet_serve::{
-    CanonicalWeights, PackSet, PlanKey, Result, ServeConfig, ServeError, ServeRuntime,
-    ServeStats, Ticket,
+    resolve_knob, CanonicalWeights, PackSet, Phase, PlanKey, Result, ServeConfig, ServeError,
+    ServeRuntime, ServeStats, Ticket,
 };
 use lancet_tensor::Tensor;
-
-/// Fallback replica count when neither [`FleetConfig::replicas`] nor
-/// `LANCET_REPLICAS` specifies one.
-const DEFAULT_REPLICAS: usize = 2;
-
-/// `LANCET_REPLICAS`, parsed per call. Unset, empty, unparsable, or `0`
-/// all mean "use the default".
-fn env_replicas() -> Option<usize> {
-    std::env::var("LANCET_REPLICAS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-}
 
 /// Fleet knobs.
 #[derive(Debug, Clone)]
@@ -98,7 +85,6 @@ pub struct FleetStats {
 
 struct Inner {
     replicas: Vec<Arc<ServeRuntime>>,
-    healthy: Vec<AtomicBool>,
     serve: ServeConfig,
     /// Per-model routing key: the stable hash of the [`PlanKey`] the
     /// model's full batches plan under. One key per model keeps all of a
@@ -161,18 +147,11 @@ impl FleetTicket {
 impl Fleet {
     /// Starts `config.replicas` identical [`ServeRuntime`]s.
     pub fn start(config: FleetConfig) -> Fleet {
-        let n = if config.replicas > 0 {
-            config.replicas
-        } else {
-            env_replicas().unwrap_or(DEFAULT_REPLICAS)
-        };
-        let replicas: Vec<_> =
-            (0..n).map(|_| ServeRuntime::start(config.serve.clone())).collect();
-        let healthy = (0..n).map(|_| AtomicBool::new(true)).collect();
+        let n = resolve_knob(config.replicas, "LANCET_REPLICAS", 2);
+        let replicas = (0..n).map(|_| ServeRuntime::start(config.serve.clone())).collect();
         Fleet {
             inner: Arc::new(Inner {
                 replicas,
-                healthy,
                 serve: config.serve,
                 routes: RwLock::new(HashMap::new()),
                 steal_threshold: config.steal_threshold,
@@ -278,8 +257,13 @@ impl Fleet {
     /// processes, and removing a replica re-routes only its keys.
     fn route_hash(&self, key: u64) -> Option<usize> {
         (0..self.inner.replicas.len())
-            .filter(|&i| self.inner.healthy[i].load(Ordering::Acquire))
+            .filter(|&i| self.is_healthy(i))
             .max_by_key(|&i| hrw_score(key, i as u64))
+    }
+
+    /// Whether replica `index` has not crashed.
+    fn is_healthy(&self, index: usize) -> bool {
+        self.inner.replicas[index].phase() != Phase::Crashed
     }
 
     /// Submits one request, routing by the model's stable plan key with
@@ -308,7 +292,7 @@ impl Fleet {
         let key = self.route_key(model)?;
         // One iteration per replica bounds the crash-race retry loop: a
         // submit can only fail with `Crashed` by losing a race with that
-        // replica's crash, which also unroutes it.
+        // replica's crash, whose phase change also unroutes it.
         for _ in 0..self.inner.replicas.len() {
             let Some(routed) = self.route_hash(key) else { break };
             let target = self.steal_target(routed);
@@ -319,9 +303,7 @@ impl Fleet {
                     }
                     return Ok(ticket);
                 }
-                Err(ServeError::Crashed) => {
-                    self.inner.healthy[target].store(false, Ordering::Release);
-                }
+                Err(ServeError::Crashed) => {}
                 Err(ServeError::Overloaded { depth }) => {
                     // The bound is per replica; only give up once no
                     // healthy replica can admit. Overflow to the
@@ -352,7 +334,7 @@ impl Fleet {
         let mut best = routed;
         let mut best_len = routed_len;
         for (i, r) in self.inner.replicas.iter().enumerate() {
-            if i != routed && self.inner.healthy[i].load(Ordering::Acquire) {
+            if i != routed && self.is_healthy(i) {
                 let len = r.queue_len();
                 if len < best_len {
                     best = i;
@@ -375,9 +357,7 @@ impl Fleet {
             .iter()
             .enumerate()
             .filter(|&(i, r)| {
-                i != not
-                    && self.inner.healthy[i].load(Ordering::Acquire)
-                    && r.queue_len() < r.queue_capacity()
+                i != not && self.is_healthy(i) && r.queue_len() < r.queue_capacity()
             })
             .min_by_key(|&(_, r)| r.queue_len())
             .map(|(i, _)| i)
@@ -388,15 +368,16 @@ impl Fleet {
     /// [`ServeError::Crashed`], and fleet tickets waiting on them
     /// resubmit to the survivors. No-op on an out-of-range index.
     pub fn crash(&self, index: usize) {
-        let Some(flag) = self.inner.healthy.get(index) else { return };
-        // Unroute first, so resubmissions can't land back on the corpse.
-        flag.store(false, Ordering::Release);
-        self.inner.replicas[index].crash();
+        // The replica's phase turns `Crashed` before any of its queued
+        // requests is answered, so resubmissions can't land back on it.
+        if let Some(replica) = self.inner.replicas.get(index) {
+            replica.crash();
+        }
     }
 
     /// Healthy (not crashed) replica count.
     pub fn healthy(&self) -> usize {
-        self.inner.healthy.iter().filter(|h| h.load(Ordering::Acquire)).count()
+        (0..self.inner.replicas.len()).filter(|&i| self.is_healthy(i)).count()
     }
 
     /// Total replica count (healthy or not).

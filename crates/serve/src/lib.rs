@@ -58,6 +58,7 @@
 mod cache;
 mod error;
 mod fault;
+mod lifecycle;
 mod plan;
 mod runtime;
 mod stats;
@@ -66,6 +67,7 @@ mod trace;
 pub use cache::{CacheStats, PlanCache};
 pub use error::{Result, ServeError};
 pub use fault::{FaultInjector, FaultSpec};
+pub use lifecycle::{resolve_knob, resolve_queue_depth, BoundedQueue, Phase, Registry, Wait};
 pub use plan::{canonical_weights, CanonicalWeights, PackSet, Plan, PlanKey};
 pub use runtime::{ServeConfig, ServeRuntime, Ticket};
 pub use stats::{Metrics, ServeStats};

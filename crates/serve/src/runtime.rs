@@ -31,9 +31,9 @@
 //! `batched_responses_bit_identical_to_solo` integration test).
 
 use std::cell::Cell;
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Once, RwLock};
+use std::collections::VecDeque;
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Condvar, Mutex, Once};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -44,22 +44,10 @@ use lancet_tensor::{pool, Tensor};
 
 use crate::cache::PlanCache;
 use crate::fault::{FaultInjector, FaultSpec};
+use crate::lifecycle::{resolve_queue_depth, BoundedQueue, Phase, Registry, Wait};
 use crate::plan::{canonical_weights, CanonicalWeights, PackSet, Plan, PlanKey};
 use crate::stats::{Metrics, ServeStats};
 use crate::{Result, ServeError};
-
-/// Fallback admission-queue depth when neither the config nor
-/// `LANCET_SERVE_QUEUE_DEPTH` specifies one.
-const DEFAULT_QUEUE_DEPTH: usize = 256;
-
-/// `LANCET_SERVE_QUEUE_DEPTH`, parsed per call (tests mutate it).
-/// Unset, empty, unparsable, or `0` all mean "use the default".
-fn env_queue_depth() -> Option<usize> {
-    std::env::var("LANCET_SERVE_QUEUE_DEPTH")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-}
 
 /// Serving-runtime knobs.
 #[derive(Debug, Clone)]
@@ -161,9 +149,9 @@ struct ModelEntry {
     packs: Option<Arc<PackSet>>,
 }
 
-/// A request waiting in a queue.
+/// A request waiting in a queue, with the model it was admitted for.
 struct Pending {
-    model: String,
+    entry: Arc<ModelEntry>,
     ids: Vec<f32>,
     enqueued: Instant,
     slot: Arc<ResponseSlot>,
@@ -173,7 +161,7 @@ struct Pending {
 /// is derived where it's used (`serve_entries`), since timeout filtering
 /// and degradation can shrink the entry set after extraction.
 struct Batch {
-    model: String,
+    entry: Arc<ModelEntry>,
     entries: Vec<Pending>,
     /// Worker index holding the batch's hot expert (affinity dispatch);
     /// `None` when affinity is off — any worker takes it, uncounted.
@@ -226,32 +214,43 @@ impl Ticket {
     }
 }
 
-/// State shared by submitters, the batcher, and the exec workers.
+/// State shared by submitters, the batcher, and the exec workers. The
+/// runtime's phase is the admission queue's; the exec queue follows it
+/// (the batcher drains it on exit, a crash crashes both).
 struct Shared {
     config: ServeConfig,
-    queue_depth: usize,
-    exec_depth: usize,
     exec_workers: usize,
-    models: RwLock<HashMap<String, Arc<ModelEntry>>>,
+    models: Registry<ModelEntry>,
     cache: PlanCache,
     metrics: Metrics,
-    admission: Mutex<VecDeque<Pending>>,
-    admitted: Condvar,
-    exec: Mutex<VecDeque<Batch>>,
-    exec_not_empty: Condvar,
-    exec_not_full: Condvar,
-    shutting_down: AtomicBool,
-    batcher_done: AtomicBool,
-    /// Abrupt-stop flag ([`ServeRuntime::crash`]): queued work is drained
-    /// with [`ServeError::Crashed`] instead of being executed.
-    crashed: AtomicBool,
+    admission: BoundedQueue<Pending>,
+    exec: BoundedQueue<Batch>,
     injector: Option<FaultInjector>,
 }
 
-/// Handles to the runtime's threads, held until shutdown.
-struct Threads {
-    batcher: JoinHandle<()>,
-    workers: Vec<JoinHandle<()>>,
+impl Shared {
+    /// `entry`'s plan for `bucket`, through the plan cache. `before_build`
+    /// runs only when the plan must be built, and can veto the build.
+    fn plan(
+        &self,
+        entry: &ModelEntry,
+        bucket: usize,
+        before_build: impl FnOnce() -> Result<()>,
+    ) -> Result<Arc<Plan>> {
+        let cfg = &entry.cfg;
+        let key = PlanKey {
+            model: cfg.name.clone(),
+            bucket,
+            seq: cfg.seq,
+            cluster: self.config.cluster,
+            gpus: cfg.gpus,
+        };
+        self.cache.get_or_insert_with(&key, || {
+            before_build()?;
+            let packs = entry.packs.as_deref();
+            Plan::build_with_packs(&entry.lancet, cfg, bucket, &entry.canonical, packs)
+        })
+    }
 }
 
 /// A concurrent MoE inference-serving runtime.
@@ -259,7 +258,9 @@ struct Threads {
 /// See the [crate docs](crate) for an end-to-end example.
 pub struct ServeRuntime {
     shared: Arc<Shared>,
-    threads: Mutex<Option<Threads>>,
+    /// The batcher and the exec workers, joined once by whichever of
+    /// shutdown and crash comes first.
+    threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for ServeRuntime {
@@ -273,33 +274,20 @@ impl ServeRuntime {
     /// of exec workers. Models are registered afterwards with
     /// [`register_model`](Self::register_model).
     pub fn start(config: ServeConfig) -> Arc<ServeRuntime> {
-        let queue_depth = if config.queue_depth > 0 {
-            config.queue_depth
-        } else {
-            env_queue_depth().unwrap_or(DEFAULT_QUEUE_DEPTH)
-        };
         let exec_workers = pool::resolve_workers(config.exec_workers);
         let injector = config.fault.clone().map(FaultInjector::new);
         if injector.is_some() {
             silence_injected_panics();
         }
         let shared = Arc::new(Shared {
-            queue_depth,
-            // Enough slack that workers rarely idle, small enough that a
-            // stalled executor backpressures the batcher quickly.
-            exec_depth: exec_workers * 2,
             exec_workers,
             cache: PlanCache::new(config.plan_capacity),
             metrics: Metrics::new(),
-            models: RwLock::new(HashMap::new()),
-            admission: Mutex::new(VecDeque::new()),
-            admitted: Condvar::new(),
-            exec: Mutex::new(VecDeque::new()),
-            exec_not_empty: Condvar::new(),
-            exec_not_full: Condvar::new(),
-            shutting_down: AtomicBool::new(false),
-            batcher_done: AtomicBool::new(false),
-            crashed: AtomicBool::new(false),
+            models: Registry::default(),
+            admission: BoundedQueue::new(resolve_queue_depth(config.queue_depth)),
+            // Enough slack that workers rarely idle, small enough that a
+            // stalled executor backpressures the batcher quickly.
+            exec: BoundedQueue::new(exec_workers * 2),
             injector,
             config,
         });
@@ -310,19 +298,15 @@ impl ServeRuntime {
                 .spawn(move || batcher_loop(&shared))
                 .expect("spawn batcher")
         };
-        let workers = (0..exec_workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("serve-exec-{i}"))
-                    .spawn(move || worker_loop(&shared, i))
-                    .expect("spawn exec worker")
-            })
-            .collect();
-        Arc::new(ServeRuntime {
-            shared,
-            threads: Mutex::new(Some(Threads { batcher, workers })),
-        })
+        let workers = (0..exec_workers).map(|i| {
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .name(format!("serve-exec-{i}"))
+                .spawn(move || worker_loop(&shared, i))
+                .expect("spawn exec worker")
+        });
+        let threads = Mutex::new(std::iter::once(batcher).chain(workers).collect());
+        Arc::new(ServeRuntime { shared, threads })
     }
 
     /// Registers `cfg` under its `name`, building the canonical weights
@@ -335,9 +319,10 @@ impl ServeRuntime {
     /// [`ServeError::BadRequest`] if the name is already registered;
     /// [`ServeError::Plan`] if the model graph cannot be built.
     pub fn register_model(&self, cfg: GptMoeConfig) -> Result<()> {
-        let cfg = cfg.clone().with_capacity_factor(cfg.experts() as f64);
-        let canonical = canonical_weights(&cfg, self.shared.config.seed)?;
-        self.register_entry(cfg, canonical, None)
+        self.shared.models.register(&cfg, |cfg| {
+            let canonical = canonical_weights(&cfg, self.shared.config.seed)?;
+            Ok(self.model_entry(cfg, canonical, None))
+        })
     }
 
     /// Registers `cfg` with caller-supplied weights — the model-store
@@ -363,34 +348,26 @@ impl ServeRuntime {
         canonical: CanonicalWeights,
         packs: Option<PackSet>,
     ) -> Result<()> {
-        let cfg = cfg.clone().with_capacity_factor(cfg.experts() as f64);
-        if canonical.len() != cfg.gpus {
-            return Err(ServeError::BadRequest(format!(
-                "weights cover {} devices, model `{}` needs {}",
-                canonical.len(),
-                cfg.name,
-                cfg.gpus
-            )));
-        }
-        if let Some(p) = &packs {
-            if p.len() != cfg.gpus {
-                return Err(ServeError::BadRequest(format!(
-                    "packs cover {} devices, model `{}` needs {}",
-                    p.len(),
-                    cfg.name,
-                    cfg.gpus
-                )));
+        self.shared.models.register(&cfg, |cfg| {
+            let packs_len = packs.as_ref().map_or(cfg.gpus, PackSet::len);
+            for (what, n) in [("weights", canonical.len()), ("packs", packs_len)] {
+                if n != cfg.gpus {
+                    let (name, gpus) = (&cfg.name, cfg.gpus);
+                    let why = format!("{what} cover {n} devices, model `{name}` needs {gpus}");
+                    return Err(ServeError::BadRequest(why));
+                }
             }
-        }
-        self.register_entry(cfg, canonical, packs.map(Arc::new))
+            Ok(self.model_entry(cfg, canonical, packs.map(Arc::new)))
+        })
     }
 
-    fn register_entry(
+    /// Builds a registry entry for the already-normalized `cfg`.
+    fn model_entry(
         &self,
         cfg: GptMoeConfig,
         canonical: CanonicalWeights,
         packs: Option<Arc<PackSet>>,
-    ) -> Result<()> {
+    ) -> ModelEntry {
         let lancet = Lancet::new(
             ClusterSpec::of(self.shared.config.cluster, 1),
             cfg.gpus,
@@ -426,18 +403,7 @@ impl ServeRuntime {
         } else {
             None
         };
-        let mut models = self.shared.models.write().expect("models lock");
-        if models.contains_key(&cfg.name) {
-            return Err(ServeError::BadRequest(format!(
-                "model `{}` is already registered",
-                cfg.name
-            )));
-        }
-        models.insert(
-            cfg.name.clone(),
-            Arc::new(ModelEntry { cfg, lancet, canonical, placement, packs }),
-        );
-        Ok(())
+        ModelEntry { cfg, lancet, canonical, placement, packs }
     }
 
     /// Submits one request — `ids` is a single sequence of token ids for
@@ -451,16 +417,7 @@ impl ServeRuntime {
     /// bound, or [`ServeError::ShuttingDown`].
     pub fn submit(&self, model: &str, ids: Vec<f32>) -> Result<Ticket> {
         let shared = &self.shared;
-        if shared.crashed.load(Ordering::Acquire) {
-            return Err(ServeError::Crashed);
-        }
-        if shared.shutting_down.load(Ordering::Acquire) {
-            return Err(ServeError::ShuttingDown);
-        }
-        let entry = {
-            let models = shared.models.read().expect("models lock");
-            models.get(model).cloned().ok_or_else(|| ServeError::UnknownModel(model.into()))?
-        };
+        let entry = shared.models.get(model)?;
         if ids.len() != entry.cfg.seq {
             return Err(ServeError::BadRequest(format!(
                 "{} token ids, model `{model}` serves sequences of {}",
@@ -477,21 +434,8 @@ impl ServeRuntime {
         }
 
         let slot = Arc::new(ResponseSlot::new());
-        {
-            let mut queue = shared.admission.lock().expect("admission lock");
-            if queue.len() >= shared.queue_depth {
-                shared.metrics.rejected_overload.fetch_add(1, Ordering::Relaxed);
-                return Err(ServeError::Overloaded { depth: shared.queue_depth });
-            }
-            queue.push_back(Pending {
-                model: model.into(),
-                ids,
-                enqueued: Instant::now(),
-                slot: Arc::clone(&slot),
-            });
-        }
-        shared.metrics.submitted.fetch_add(1, Ordering::Relaxed);
-        shared.admitted.notify_all();
+        let pending = Pending { entry, ids, enqueued: Instant::now(), slot: Arc::clone(&slot) };
+        shared.admission.admit(pending, &shared.metrics)?;
         Ok(Ticket { slot })
     }
 
@@ -506,8 +450,7 @@ impl ServeRuntime {
 
     /// A point-in-time statistics snapshot.
     pub fn stats(&self) -> ServeStats {
-        let depth = self.shared.admission.lock().expect("admission lock").len();
-        self.shared.metrics.snapshot(depth, self.shared.cache.stats())
+        self.shared.metrics.snapshot(self.queue_len(), self.shared.cache.stats())
     }
 
     /// The plan cache (for inspection; plans are managed internally).
@@ -519,14 +462,20 @@ impl ServeRuntime {
     /// or — when that was `0` — `LANCET_SERVE_QUEUE_DEPTH`, falling back
     /// to the built-in default of 256.
     pub fn queue_capacity(&self) -> usize {
-        self.shared.queue_depth
+        self.shared.admission.depth()
     }
 
     /// Requests waiting in the admission queue right now. Cheap (one
     /// lock, no snapshot) — the fleet front-end polls this per submit
     /// for its work-stealing decision.
     pub fn queue_len(&self) -> usize {
-        self.shared.admission.lock().expect("admission lock").len()
+        self.shared.admission.len()
+    }
+
+    /// The runtime's lifecycle phase: [`Phase::Running`] until
+    /// [`shutdown`](Self::shutdown) or [`crash`](Self::crash).
+    pub fn phase(&self) -> Phase {
+        self.shared.admission.phase()
     }
 
     /// Pre-builds `model`'s execution plan for every batch bucket
@@ -541,29 +490,11 @@ impl ServeRuntime {
     /// [`ServeError::UnknownModel`] if `model` was never registered;
     /// [`ServeError::Plan`] if a plan cannot be built.
     pub fn warm_model(&self, model: &str) -> Result<()> {
-        let entry = {
-            let models = self.shared.models.read().expect("models lock");
-            models.get(model).cloned().ok_or_else(|| ServeError::UnknownModel(model.into()))?
-        };
+        let entry = self.shared.models.get(model)?;
         let top = bucket_for(self.shared.config.max_batch);
         let mut bucket = 1usize;
         loop {
-            let key = PlanKey {
-                model: model.into(),
-                bucket,
-                seq: entry.cfg.seq,
-                cluster: self.shared.config.cluster,
-                gpus: entry.cfg.gpus,
-            };
-            self.shared.cache.get_or_insert_with(&key, || {
-                Plan::build_with_packs(
-                    &entry.lancet,
-                    &entry.cfg,
-                    bucket,
-                    &entry.canonical,
-                    entry.packs.as_deref(),
-                )
-            })?;
+            self.shared.plan(&entry, bucket, || Ok(()))?;
             if bucket >= top {
                 break;
             }
@@ -584,16 +515,8 @@ impl ServeRuntime {
     /// still gets its response), and joins all runtime threads.
     /// Idempotent; also invoked by `Drop`.
     pub fn shutdown(&self) {
-        let threads = self.threads.lock().expect("threads lock").take();
-        let Some(threads) = threads else { return };
-        self.shared.shutting_down.store(true, Ordering::Release);
-        self.shared.admitted.notify_all();
-        threads.batcher.join().expect("batcher panicked");
-        self.shared.batcher_done.store(true, Ordering::Release);
-        self.shared.exec_not_empty.notify_all();
-        for worker in threads.workers {
-            worker.join().expect("exec worker panicked");
-        }
+        self.shared.admission.drain();
+        self.join_threads();
     }
 
     /// Kills the replica abruptly (chaos testing / fleet fail-over
@@ -610,43 +533,27 @@ impl ServeRuntime {
     ///
     /// [`ServeStats::outstanding`]: crate::ServeStats::outstanding
     pub fn crash(&self) {
-        let threads = self.threads.lock().expect("threads lock").take();
         let shared = &self.shared;
-        shared.crashed.store(true, Ordering::Release);
-        shared.shutting_down.store(true, Ordering::Release);
-        shared.admitted.notify_all();
-        shared.exec_not_full.notify_all();
-        shared.exec_not_empty.notify_all();
-        if let Some(threads) = threads {
-            threads.batcher.join().expect("batcher panicked");
-            shared.batcher_done.store(true, Ordering::Release);
-            shared.exec_not_empty.notify_all();
-            for worker in threads.workers {
-                worker.join().expect("exec worker panicked");
-            }
+        // Whatever is still queued was admitted but never started.
+        let queued = shared.admission.crash();
+        let batched = shared.exec.crash().into_iter().flat_map(|batch| batch.entries);
+        deliver_crashed(shared, queued.into_iter().chain(batched));
+        self.join_threads();
+    }
+
+    /// Joins the runtime's threads; a no-op once they have been joined.
+    /// Each exits on its own once its queue has drained or crashed, so
+    /// the order does not matter.
+    fn join_threads(&self) {
+        let threads = std::mem::take(&mut *self.threads.lock().expect("threads lock"));
+        for thread in threads {
+            thread.join().expect("runtime thread panicked");
         }
-        // All threads are gone; whatever is still queued was admitted but
-        // never started. Drain it with the typed crash error.
-        let queued: Vec<Pending> = shared
-            .admission
-            .lock()
-            .expect("admission lock")
-            .drain(..)
-            .chain(
-                shared
-                    .exec
-                    .lock()
-                    .expect("exec lock")
-                    .drain(..)
-                    .flat_map(|batch| batch.entries),
-            )
-            .collect();
-        deliver_crashed(shared, queued);
     }
 }
 
 /// Answers `entries` with [`ServeError::Crashed`], counting each.
-fn deliver_crashed(shared: &Shared, entries: Vec<Pending>) {
+fn deliver_crashed(shared: &Shared, entries: impl IntoIterator<Item = Pending>) {
     for pending in entries {
         shared.metrics.crashed.fetch_add(1, Ordering::Relaxed);
         let delivered = pending.slot.deliver(Err(ServeError::Crashed));
@@ -667,41 +574,34 @@ fn bucket_for(n: usize) -> usize {
 
 /// The batcher: groups admitted requests into per-model buckets, shedding
 /// the ones whose latency budget expired, and feeds the exec queue.
-/// Exits once shutdown is flagged *and* the admission queue is drained.
+/// Once the admission queue has drained empty it drains the exec queue
+/// — every admitted request is in it by then — and exits.
 fn batcher_loop(shared: &Shared) {
+    let max = shared.config.max_batch;
     loop {
-        let batch = {
-            let mut queue = shared.admission.lock().expect("admission lock");
-            loop {
-                // A crash is abrupt: leave everything queued for the
-                // crash drain instead of batching it.
-                if shared.crashed.load(Ordering::Acquire) {
-                    return;
-                }
-                shed_expired(shared, &mut queue);
-                let Some(front) = queue.front() else {
-                    if shared.shutting_down.load(Ordering::Acquire) {
-                        return;
-                    }
-                    queue = shared.admitted.wait(queue).expect("admission lock");
-                    continue;
-                };
-                let model = front.model.clone();
-                let waited = front.enqueued.elapsed();
-                let matching = queue.iter().filter(|p| p.model == model).count();
-                let draining = shared.shutting_down.load(Ordering::Acquire);
-                if matching >= shared.config.max_batch
-                    || waited >= shared.config.batch_window
-                    || draining
-                {
-                    break extract(&mut queue, &model, shared.config.max_batch);
-                }
-                let (q, _) = shared
-                    .admitted
-                    .wait_timeout(queue, shared.config.batch_window - waited)
-                    .expect("admission lock");
-                queue = q;
+        let batch = shared.admission.wait_until(|queue, phase| {
+            // A crash is abrupt: the crash drain answers what is queued.
+            if phase == Phase::Crashed {
+                return Wait::Ready(None);
             }
+            shed_expired(shared, queue);
+            let Some(front) = queue.front() else {
+                return if phase == Phase::Draining { Wait::Ready(None) } else { Wait::Idle };
+            };
+            let entry = Arc::clone(&front.entry);
+            // `None`: a window too long to represent never closes.
+            let due = front.enqueued.checked_add(shared.config.batch_window);
+            let matching = queue.iter().filter(|p| Arc::ptr_eq(&p.entry, &entry)).count();
+            let window_closed = due.is_some_and(|due| Instant::now() >= due);
+            if matching >= max || window_closed || phase == Phase::Draining {
+                Wait::Ready(Some(extract(queue, entry, max)))
+            } else {
+                due.map_or(Wait::Idle, Wait::Until)
+            }
+        });
+        let Some(mut batch) = batch else {
+            shared.exec.drain();
+            return;
         };
         // Injected queue stall: the batcher freezes with the batch in
         // hand (admission lock released — submitters keep queueing).
@@ -711,9 +611,12 @@ fn batcher_loop(shared: &Shared) {
                 std::thread::sleep(delay);
             }
         }
-        let mut batch = batch;
         batch.preferred = preferred_worker(shared, &batch);
-        push_batch(shared, batch);
+        // Blocks while the exec queue is full (backpressure). A crash
+        // hands the batch back: the workers are exiting, so answer it.
+        if let Err(batch) = shared.exec.push_blocking(batch) {
+            deliver_crashed(shared, batch.entries);
+        }
     }
 }
 
@@ -739,39 +642,21 @@ fn shed_expired(shared: &Shared, queue: &mut VecDeque<Pending>) {
     *queue = kept;
 }
 
-/// Removes up to `max` requests for `model` from the queue (preserving
-/// the relative order of everything else) and wraps them in a batch.
-fn extract(queue: &mut VecDeque<Pending>, model: &str, max: usize) -> Batch {
+/// Removes up to `max` requests for `entry`'s model from the queue
+/// (preserving the relative order of everything else) and wraps them in
+/// a batch.
+fn extract(queue: &mut VecDeque<Pending>, entry: Arc<ModelEntry>, max: usize) -> Batch {
     let mut entries = Vec::new();
     let mut rest = VecDeque::with_capacity(queue.len());
     for pending in queue.drain(..) {
-        if pending.model == model && entries.len() < max {
+        if Arc::ptr_eq(&pending.entry, &entry) && entries.len() < max {
             entries.push(pending);
         } else {
             rest.push_back(pending);
         }
     }
     *queue = rest;
-    Batch { model: model.into(), entries, preferred: None }
-}
-
-/// Blocks until the (bounded) exec queue has room, then enqueues. If the
-/// runtime crashes while the batcher is blocked here, the in-hand batch
-/// is answered with [`ServeError::Crashed`] (it can no longer execute —
-/// the workers are exiting).
-fn push_batch(shared: &Shared, batch: Batch) {
-    let mut exec = shared.exec.lock().expect("exec lock");
-    while exec.len() >= shared.exec_depth {
-        if shared.crashed.load(Ordering::Acquire) {
-            drop(exec);
-            deliver_crashed(shared, batch.entries);
-            return;
-        }
-        exec = shared.exec_not_full.wait(exec).expect("exec lock");
-    }
-    exec.push_back(batch);
-    drop(exec);
-    shared.exec_not_empty.notify_one();
+    Batch { entry, entries, preferred: None }
 }
 
 /// An exec worker: pops batches, resolves their plan through the cache,
@@ -779,33 +664,24 @@ fn push_batch(shared: &Shared, batch: Batch) {
 /// is done and the exec queue is empty.
 fn worker_loop(shared: &Shared, index: usize) {
     loop {
-        let batch = {
-            let mut exec = shared.exec.lock().expect("exec lock");
-            loop {
-                // A crash is abrupt: stop picking up queued batches (the
-                // crash drain answers them). The batch this worker may
-                // already be running is not in any queue and completes.
-                if shared.crashed.load(Ordering::Acquire) {
-                    return;
-                }
-                // Affinity: take the first batch preferring this worker;
-                // otherwise steal the front one (preference is soft — a
-                // free worker never idles while work is queued).
-                let pick = exec
-                    .iter()
-                    .position(|b| b.preferred == Some(index))
-                    .or(if exec.is_empty() { None } else { Some(0) });
-                if let Some(at) = pick {
-                    let batch = exec.remove(at).expect("picked position exists");
-                    shared.exec_not_full.notify_one();
-                    break batch;
-                }
-                if shared.batcher_done.load(Ordering::Acquire) {
-                    return;
-                }
-                exec = shared.exec_not_empty.wait(exec).expect("exec lock");
+        let batch = shared.exec.wait_until(|exec, phase| {
+            // A crash is abrupt: stop picking up queued batches (the
+            // crash drain answers them). The batch this worker may
+            // already be running is not in any queue and completes.
+            if phase == Phase::Crashed {
+                return Wait::Ready(None);
             }
-        };
+            // Affinity: take the first batch preferring this worker;
+            // otherwise steal the front one (preference is soft — a free
+            // worker never idles while work is queued).
+            let pick = exec.iter().position(|b| b.preferred == Some(index));
+            match pick.or(if exec.is_empty() { None } else { Some(0) }) {
+                Some(at) => Wait::Ready(exec.remove(at)),
+                None if phase == Phase::Draining => Wait::Ready(None),
+                None => Wait::Idle,
+            }
+        });
+        let Some(batch) = batch else { return };
         if let Some(preferred) = batch.preferred {
             let requests = batch.entries.len() as u64;
             if preferred == index {
@@ -828,12 +704,8 @@ fn preferred_worker(shared: &Shared, batch: &Batch) -> Option<usize> {
     if !shared.config.affinity || batch.entries.is_empty() {
         return None;
     }
-    let entry = {
-        let models = shared.models.read().expect("models lock");
-        models.get(&batch.model).cloned()?
-    };
-    let plan = entry.placement.as_ref()?;
-    let experts = entry.cfg.experts();
+    let plan = batch.entry.placement.as_ref()?;
+    let experts = batch.entry.cfg.experts();
     let mut votes = vec![0usize; shared.exec_workers.max(1)];
     for pending in &batch.entries {
         let worker = plan.device_of(0, hot_expert(&pending.ids, experts));
@@ -905,7 +777,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 fn run_batch(shared: &Shared, batch: Batch) {
     shared.metrics.batches.fetch_add(1, Ordering::Relaxed);
     shared.metrics.batched_requests.fetch_add(batch.entries.len() as u64, Ordering::Relaxed);
-    let Batch { model, entries, preferred: _ } = batch;
+    let Batch { entry, entries, preferred: _ } = batch;
 
     // Per-request timeout: answer requests that are already past their
     // end-to-end deadline instead of spending executor time on them.
@@ -932,7 +804,7 @@ fn run_batch(shared: &Shared, batch: Batch) {
     // whose response hadn't been delivered when the panic hit.
     let slots: Vec<Arc<ResponseSlot>> = live.iter().map(|p| Arc::clone(&p.slot)).collect();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        serve_entries(shared, &model, live);
+        serve_entries(shared, &entry, live);
     }));
     INJECTED_PANIC.with(|f| f.set(false));
     if let Err(payload) = outcome {
@@ -951,11 +823,11 @@ fn run_batch(shared: &Shared, batch: Batch) {
 /// Serves `entries` as one bucket: execute (with bounded retry on
 /// transient failures), degrade to two half-sized buckets if the plan
 /// cannot be built, and deliver every response.
-fn serve_entries(shared: &Shared, model: &str, entries: Vec<Pending>) {
+fn serve_entries(shared: &Shared, entry: &ModelEntry, entries: Vec<Pending>) {
     let bucket = bucket_for(entries.len());
     let mut attempt = 0u32;
     let result = loop {
-        match execute_entries(shared, model, bucket, &entries) {
+        match execute_entries(shared, entry, bucket, &entries) {
             // Transient execution failure: bounded retry with doubling
             // backoff. Plan failures are not retried — a deterministic
             // build fails the same way every time; they degrade below.
@@ -991,8 +863,8 @@ fn serve_entries(shared: &Shared, model: &str, entries: Vec<Pending>) {
             shared.metrics.degraded.fetch_add(1, Ordering::Relaxed);
             let mut front = entries;
             let back = front.split_off(front.len() / 2);
-            serve_entries(shared, model, front);
-            serve_entries(shared, model, back);
+            serve_entries(shared, entry, front);
+            serve_entries(shared, entry, back);
         }
         Err(err) => {
             for pending in &entries {
@@ -1009,7 +881,7 @@ fn serve_entries(shared: &Shared, model: &str, entries: Vec<Pending>) {
 /// each fires at most once per attempt, so retries redraw their fate.
 fn execute_entries(
     shared: &Shared,
-    model: &str,
+    entry: &ModelEntry,
     bucket: usize,
     entries: &[Pending],
 ) -> Result<(Arc<Plan>, Tensor)> {
@@ -1024,33 +896,16 @@ fn execute_entries(
             panic!("injected worker panic");
         }
     }
-    let entry = {
-        let models = shared.models.read().expect("models lock");
-        models.get(model).cloned().ok_or_else(|| ServeError::UnknownModel(model.into()))?
-    };
-    let key = PlanKey {
-        model: model.into(),
-        bucket,
-        seq: entry.cfg.seq,
-        cluster: shared.config.cluster,
-        gpus: entry.cfg.gpus,
-    };
-    let plan = shared.cache.get_or_insert_with(&key, || {
-        // Plan faults fire inside the build closure: cache hits are
-        // immune, exactly like a real optimizer failure would be.
-        if let Some(inj) = &shared.injector {
-            if inj.plan_fault() {
+    let plan = shared.plan(entry, bucket, || {
+        // Plan faults fire only on a build: cache hits are immune,
+        // exactly like a real optimizer failure would be.
+        match &shared.injector {
+            Some(inj) if inj.plan_fault() => {
                 shared.metrics.injected_faults.fetch_add(1, Ordering::Relaxed);
-                return Err(ServeError::Plan("injected plan-build fault".into()));
+                Err(ServeError::Plan("injected plan-build fault".into()))
             }
+            _ => Ok(()),
         }
-        Plan::build_with_packs(
-            &entry.lancet,
-            &entry.cfg,
-            bucket,
-            &entry.canonical,
-            entry.packs.as_deref(),
-        )
     })?;
 
     let seq = entry.cfg.seq;
@@ -1094,12 +949,5 @@ mod tests {
         assert_eq!(bucket_for(3), 4);
         assert_eq!(bucket_for(8), 8);
         assert_eq!(bucket_for(9), 16);
-    }
-
-    #[test]
-    fn queue_depth_env_parsing() {
-        // Only exercises the parse helper (process-global env mutation
-        // is unsafe under parallel tests).
-        assert_eq!(env_queue_depth().or(Some(DEFAULT_QUEUE_DEPTH)).map(|d| d > 0), Some(true));
     }
 }

@@ -25,7 +25,7 @@
 //! constants by default, optionally specialized per shape class and ISA by
 //! the [`crate::tune`] autotuner. Weights that never change between calls
 //! can skip step 1 entirely by being packed once into a
-//! [`PackedTensor`](crate::PackedTensor) and multiplied via
+//! [`PackedTensor`] and multiplied via
 //! [`matmul_packed`] / [`batched_matmul_packed`].
 //!
 //! # Determinism contract
