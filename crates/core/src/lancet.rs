@@ -392,15 +392,13 @@ mod tests {
 
     #[test]
     fn ablation_toggles_apply() {
-        let mut only_dw = LancetOptions::default();
-        only_dw.disable_partition = true;
+        let only_dw = LancetOptions { disable_partition: true, ..LancetOptions::default() };
         let lancet = Lancet::new(ClusterSpec::v100(2), 16, only_dw);
         let out = lancet.optimize(forward(GateKind::Switch)).unwrap();
         assert!(out.partition.is_none());
         assert!(out.dw.is_some());
 
-        let mut only_part = LancetOptions::default();
-        only_part.disable_dw_schedule = true;
+        let only_part = LancetOptions { disable_dw_schedule: true, ..LancetOptions::default() };
         let lancet = Lancet::new(ClusterSpec::v100(2), 16, only_part);
         let out = lancet.optimize(forward(GateKind::Switch)).unwrap();
         assert!(out.partition.is_some());
@@ -425,8 +423,8 @@ mod tests {
     #[test]
     fn optimize_threads_placement_plan() {
         let traffic = ExpertTraffic::synthetic(4, 16, 1024, 1.2, 0.8, 4096, 0x91ACE);
-        let mut options = LancetOptions::default();
-        options.placement = Some(PlacementSearch::new(traffic));
+        let options =
+            LancetOptions { placement: Some(PlacementSearch::new(traffic)), ..LancetOptions::default() };
         let lancet = Lancet::new(ClusterSpec::v100(2), 16, options);
         let out = lancet.optimize(forward(GateKind::Switch)).unwrap();
         let placement = out.placement.expect("placement configured");

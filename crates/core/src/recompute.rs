@@ -208,10 +208,10 @@ mod tests {
         let loss = g.instrs().iter().position(|i| matches!(i.op, Op::CrossEntropy)).unwrap();
         // Overlapping.
         assert!(recompute_segments(&mut g, &[0..5, 3..8]).is_err());
-        // Crossing the loss.
-        assert!(recompute_segments(&mut g, &[loss - 1..loss + 2]).is_err());
-        // Empty.
-        assert!(recompute_segments(&mut g, &[4..4]).is_err());
+        let crossing_loss = loss - 1..loss + 2;
+        assert!(recompute_segments(&mut g, &[crossing_loss]).is_err());
+        let empty = 4..4;
+        assert!(recompute_segments(&mut g, &[empty]).is_err());
     }
 
     #[test]

@@ -95,20 +95,12 @@ pub(crate) fn eval(op: &Op, ins: &[&Tensor], packed_b: Option<&PackedTensor>, _d
             Ok(vec![x.matmul_t(&dy, true, false)?])
         }
         Op::BatchedMatMul { transpose_b } => {
-            let x = ins[0];
-            if !*transpose_b {
-                if let Some(pb) = packed_b.filter(|pb| pb.matches(ins[1], false)) {
-                    return Ok(vec![x.batched_matmul_prepacked(pb)?]);
-                }
-            }
-            let wt;
-            let w = if *transpose_b {
-                wt = ins[1].permute(&[0, 2, 1])?;
-                &wt
-            } else {
-                ins[1]
+            let (x, w) = (ins[0], ins[1]);
+            let y = match packed_b {
+                Some(pb) if pb.matches(w, *transpose_b) => x.batched_matmul_prepacked(pb)?,
+                _ => x.batched_matmul_t(w, *transpose_b)?,
             };
-            Ok(vec![x.batched_matmul(w)?])
+            Ok(vec![y])
         }
         Op::BatchedMatMulDw => {
             // (E,C,K)^T (E,C,N) per expert -> (E,K,N)

@@ -16,9 +16,19 @@ struct MoeDims {
     hidden: usize,
 }
 
+/// A built MoE layer graph and the ids `run_moe` binds and reads.
+struct MoeGraph {
+    g: Graph,
+    x: TensorId,
+    wg: TensorId,
+    w1: TensorId,
+    w2: TensorId,
+    y: TensorId,
+}
+
 /// Builds the unpartitioned MoE layer graph: x → gate → dispatch → a2a →
 /// experts → a2a → gather → y.
-fn unpartitioned(d: &MoeDims) -> (Graph, TensorId, TensorId, TensorId, TensorId, TensorId) {
+fn unpartitioned(d: &MoeDims) -> MoeGraph {
     let mut g = Graph::new();
     let x = g.input("x", vec![d.batch, d.seq, d.hidden]);
     let wg = g.weight("gate.w", vec![d.hidden, d.experts]);
@@ -48,14 +58,14 @@ fn unpartitioned(d: &MoeDims) -> (Graph, TensorId, TensorId, TensorId, TensorId,
             Role::Forward,
         )
         .unwrap();
-    (g, x, wg, w1, w2, y)
+    MoeGraph { g, x, wg, w1, w2, y }
 }
 
 /// Builds the partitioned pipeline: the batch is sliced into `parts`
 /// micro-batches; gating chains capacity state (paper Fig. 5c); each chunk
 /// flows through an irregular dispatch/all-to-all/expert/gather pipeline;
 /// outputs are concatenated.
-fn partitioned(d: &MoeDims, parts: usize) -> (Graph, TensorId, TensorId, TensorId, TensorId, TensorId) {
+fn partitioned(d: &MoeDims, parts: usize) -> MoeGraph {
     let mut g = Graph::new();
     let x = g.input("x", vec![d.batch, d.seq, d.hidden]);
     let wg = g.weight("gate.w", vec![d.hidden, d.experts]);
@@ -103,19 +113,11 @@ fn partitioned(d: &MoeDims, parts: usize) -> (Graph, TensorId, TensorId, TensorI
         outputs.push(yc);
     }
     let y = g.emit(Op::Concat { axis: 0 }, &outputs, Role::Forward).unwrap();
-    (g, x, wg, w1, w2, y)
+    MoeGraph { g, x, wg, w1, w2, y }
 }
 
-fn run_moe(
-    g: &Graph,
-    x: TensorId,
-    wg: TensorId,
-    w1: TensorId,
-    w2: TensorId,
-    y: TensorId,
-    d: &MoeDims,
-    seed: u64,
-) -> Vec<Tensor> {
+fn run_moe(m: &MoeGraph, d: &MoeDims, seed: u64) -> Vec<Tensor> {
+    let &MoeGraph { ref g, x, wg, w1, w2, y } = m;
     let mut b = init_weights(g, d.gpus, 1234);
     // Identical gate/expert weights across the two graphs come from
     // binding by *name*, so rebuild deterministically here.
@@ -139,11 +141,9 @@ fn run_moe(
 fn partitioned_pipeline_is_bit_identical() {
     // Tight capacity forces drops, the hard case for equivalence.
     let d = MoeDims { gpus: 2, experts: 4, cap: 3, batch: 4, seq: 4, hidden: 6 };
-    let (g_ref, x, wg, w1, w2, y) = unpartitioned(&d);
-    let reference = run_moe(&g_ref, x, wg, w1, w2, y, &d, 7);
+    let reference = run_moe(&unpartitioned(&d), &d, 7);
     for parts in [2usize, 4] {
-        let (g_p, x, wg, w1, w2, y) = partitioned(&d, parts);
-        let got = run_moe(&g_p, x, wg, w1, w2, y, &d, 7);
+        let got = run_moe(&partitioned(&d, parts), &d, 7);
         for (dev, (a, b)) in reference.iter().zip(&got).enumerate() {
             assert_eq!(a, b, "device {dev}, parts {parts}: outputs differ");
         }
@@ -153,11 +153,10 @@ fn partitioned_pipeline_is_bit_identical() {
 #[test]
 fn partitioned_pipeline_equivalence_across_seeds() {
     let d = MoeDims { gpus: 2, experts: 4, cap: 4, batch: 6, seq: 2, hidden: 4 };
-    let (g_ref, x, wg, w1, w2, y) = unpartitioned(&d);
-    let (g_p, xp, wgp, w1p, w2p, yp) = partitioned(&d, 3);
+    let (g_ref, g_p) = (unpartitioned(&d), partitioned(&d, 3));
     for seed in [1u64, 2, 3, 4, 5] {
-        let reference = run_moe(&g_ref, x, wg, w1, w2, y, &d, seed);
-        let got = run_moe(&g_p, xp, wgp, w1p, w2p, yp, &d, seed);
+        let reference = run_moe(&g_ref, &d, seed);
+        let got = run_moe(&g_p, &d, seed);
         assert_eq!(reference, got, "seed {seed}");
     }
 }
@@ -165,9 +164,7 @@ fn partitioned_pipeline_equivalence_across_seeds() {
 #[test]
 fn partitioned_pipeline_four_devices() {
     let d = MoeDims { gpus: 4, experts: 8, cap: 3, batch: 4, seq: 3, hidden: 4 };
-    let (g_ref, x, wg, w1, w2, y) = unpartitioned(&d);
-    let reference = run_moe(&g_ref, x, wg, w1, w2, y, &d, 11);
-    let (g_p, xp, wgp, w1p, w2p, yp) = partitioned(&d, 2);
-    let got = run_moe(&g_p, xp, wgp, w1p, w2p, yp, &d, 11);
+    let reference = run_moe(&unpartitioned(&d), &d, 11);
+    let got = run_moe(&partitioned(&d, 2), &d, 11);
     assert_eq!(reference, got);
 }

@@ -1,5 +1,6 @@
 //! The packed, cache-blocked matmul engine behind [`Tensor::matmul`],
-//! [`Tensor::matmul_t`] and [`Tensor::batched_matmul`].
+//! [`Tensor::matmul_t`], [`Tensor::batched_matmul`] and
+//! [`Tensor::batched_matmul_t`].
 //!
 //! # Why packing
 //!
@@ -8,9 +9,12 @@
 //! row re-streamed the whole `B` matrix from memory. This module instead
 //! follows the classic GotoBLAS/BLIS structure:
 //!
-//! 1. **Pack `B` once** into `kc × nc` panels of `NR`-wide column strips
-//!    (transposes are resolved during packing, so the micro-kernel only
-//!    ever streams contiguous data).
+//! 1. **Pack `B` once** into `kc × nc` panels of `NR`-wide column strips.
+//!    A virtual transpose of `B` — of the rank-2 operand, or of every slice
+//!    of a batched `(B, N, K)` operand such as the expert weights an
+//!    expert dX product reads — is resolved during packing, so no
+//!    transposed copy is ever materialized and the micro-kernel only
+//!    streams contiguous data.
 //! 2. **Pack `A`** per `mc × kc` block into a worker-local buffer,
 //!    interleaved in `MR`-row groups.
 //! 3. A **register-tiled micro-kernel** updates an `MR × NR` output tile
@@ -39,7 +43,8 @@
 //! loaded from and stored back to `out` per `kc` block, so the adds stay
 //! left-associated and `k`-ascending for any `BlockSpec`. Consequently
 //! [`matmul_tiled`], [`matmul_tiled_with`] (any valid spec) and
-//! [`matmul_packed`] are all bit-identical to [`matmul_reference`] for
+//! [`matmul_packed`] are all bit-identical to [`matmul_reference`], and
+//! [`batched_matmul_tiled_t`] to [`batched_matmul_reference_t`], for
 //! every shape, transpose combination, worker count, and SIMD path —
 //! enforced by `tests/backend_props.rs` and relied on by the fig05
 //! equivalence harness.
@@ -276,7 +281,19 @@ pub fn matmul_packed(a: &Tensor, b: &PackedTensor, ta: bool, workers: usize) -> 
 ///
 /// Same conditions as [`Tensor::batched_matmul`].
 pub fn batched_matmul_reference(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    let (bt, m, k, n) = batched_dims(a, b)?;
+    batched_matmul_reference_t(a, b, false)
+}
+
+/// [`batched_matmul_reference`] with an optional virtual transpose of
+/// every `B` slice: with `tb`, `b` is stored `(B, N, K)` and each slice is
+/// read as its transpose, exactly like [`matmul_reference`]'s `tb`.
+///
+/// # Errors
+///
+/// Same conditions as [`Tensor::batched_matmul_t`].
+pub fn batched_matmul_reference_t(a: &Tensor, b: &Tensor, tb: bool) -> Result<Tensor> {
+    let (bt, m, k, n) = batched_dims(a, b, tb)?;
+    let bc = b.shape()[2];
     let mut out = vec![0.0f32; bt * m * n];
     for bi in 0..bt {
         reference_into(
@@ -287,8 +304,8 @@ pub fn batched_matmul_reference(a: &Tensor, b: &Tensor) -> Result<Tensor> {
             k,
             false,
             &b.data()[bi * k * n..(bi + 1) * k * n],
-            n,
-            false,
+            bc,
+            tb,
             &mut out[bi * m * n..(bi + 1) * m * n],
         );
     }
@@ -308,14 +325,27 @@ pub fn batched_matmul_reference(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 ///
 /// Same conditions as [`Tensor::batched_matmul`].
 pub fn batched_matmul_tiled(a: &Tensor, b: &Tensor, workers: usize) -> Result<Tensor> {
-    let (bt, m, k, n) = batched_dims(a, b)?;
+    batched_matmul_tiled_t(a, b, false, workers)
+}
+
+/// [`batched_matmul_tiled`] with an optional virtual transpose of every
+/// `B` slice, resolved while packing panels — no transposed copy of `b` is
+/// ever materialized. Bit-identical to [`batched_matmul_reference_t`] (and
+/// to permuting `b` then calling [`batched_matmul_tiled`]) for any
+/// `workers`.
+///
+/// # Errors
+///
+/// Same conditions as [`Tensor::batched_matmul_t`].
+pub fn batched_matmul_tiled_t(a: &Tensor, b: &Tensor, tb: bool, workers: usize) -> Result<Tensor> {
+    let (bt, m, k, n) = batched_dims(a, b, tb)?;
     if bt == 0 || m * k * n <= SMALL_GEMM {
-        return batched_matmul_reference(a, b);
+        return batched_matmul_reference_t(a, b, tb);
     }
     let spec = crate::tune::spec_for(m, k, n);
     let mut out = vec![0.0f32; bt * m * n];
     let w = pool::resolve_workers(workers);
-    let bpack = pack_b_batched(spec, bt, k, n, b.data(), w);
+    let bpack = pack_b_batched(spec, bt, k, n, b.data(), b.shape()[2], tb, w);
     batched_gemm_packed(spec, bt, m, k, n, a.data(), &bpack, false, &mut out, w);
     Tensor::from_vec(vec![bt, m, n], out)
 }
@@ -356,7 +386,9 @@ pub fn batched_matmul_packed(a: &Tensor, b: &PackedTensor, workers: usize) -> Re
     Tensor::from_vec(vec![bt, m, n], out)
 }
 
-fn batched_dims(a: &Tensor, b: &Tensor) -> Result<(usize, usize, usize, usize)> {
+/// Validates rank-3 shapes and resolves a virtual transpose of each `B`
+/// slice to `(bt, m, k, n)`.
+fn batched_dims(a: &Tensor, b: &Tensor, tb: bool) -> Result<(usize, usize, usize, usize)> {
     if a.rank() != 3 || b.rank() != 3 {
         return Err(TensorError::RankMismatch {
             op: "batched_matmul",
@@ -365,7 +397,8 @@ fn batched_dims(a: &Tensor, b: &Tensor) -> Result<(usize, usize, usize, usize)> 
         });
     }
     let (bt, m, k) = (a.shape()[0], a.shape()[1], a.shape()[2]);
-    let (b2, k2, n) = (b.shape()[0], b.shape()[1], b.shape()[2]);
+    let (b2, br, bc) = (b.shape()[0], b.shape()[1], b.shape()[2]);
+    let (k2, n) = if tb { (bc, br) } else { (br, bc) };
     if bt != b2 || k != k2 {
         return Err(TensorError::ShapeMismatch {
             op: "batched_matmul",
@@ -458,16 +491,20 @@ pub(crate) fn pack_b(
     pack
 }
 
-/// Packs every slice of a contiguous `(B, K, N)` operand into panel
-/// layout, parallelizing over the full `(slice, panel)` grid — the fix for
-/// the old per-expert `workers: 1` packing, and the builder behind
+/// Packs every slice of a contiguous `(B, K, N)` operand — or, with `tb`,
+/// of a `(B, N, K)` operand read as its per-slice transpose (`bc` is the
+/// stored column count) — into panel layout, parallelizing over the full
+/// `(slice, panel)` grid. This is the builder behind
 /// [`PackedTensor::pack_batched`](crate::PackedTensor::pack_batched).
+#[allow(clippy::too_many_arguments)] // flat slice+stride kernel signature
 pub(crate) fn pack_b_batched(
     spec: BlockSpec,
     bt: usize,
     k: usize,
     n: usize,
     b: &[f32],
+    bc: usize,
+    tb: bool,
     workers: usize,
 ) -> Vec<f32> {
     let num_nc = n.div_ceil(spec.nc);
@@ -482,7 +519,8 @@ pub(crate) fn pack_b_batched(
             let base = bi * plen + panel * spec.kc * spec.nc;
             // SAFETY: (slice, panel) ranges are disjoint across tasks.
             let dst = unsafe { view.range_mut(base..base + kcb * ncb) };
-            pack_panel(spec, k, n, &b[bi * k * n..(bi + 1) * k * n], n, false, panel, num_nc, dst);
+            let slice = &b[bi * k * n..(bi + 1) * k * n];
+            pack_panel(spec, k, n, slice, bc, tb, panel, num_nc, dst);
         }
     });
     pack
@@ -862,6 +900,29 @@ mod tests {
         let reference = batched_matmul_reference(&a, &b).unwrap();
         for workers in [1, 2, 3, 7, 16, 0] {
             close(&batched_matmul_tiled(&a, &b, workers).unwrap(), &reference);
+        }
+    }
+
+    #[test]
+    fn batched_transpose_b_packs_panel_edges_bit_identically() {
+        // `tb` is resolved per slice inside `pack_panel`: ragged `kc`/`nc`
+        // panels in both the `k` and `n` directions must read the stored
+        // `(B, N, K)` slice exactly like the materialized transpose.
+        let mut rng = TensorRng::seed(17);
+        let (bt, m, k, n) = (3, 37, 130, 90);
+        let a = rng.uniform(vec![bt, m, k], -1.0, 1.0);
+        let b = rng.uniform(vec![bt, n, k], -1.0, 1.0);
+        let bkn = b.permute(&[0, 2, 1]).unwrap();
+        let reference = batched_matmul_reference(&a, &bkn).unwrap();
+        close(&batched_matmul_reference_t(&a, &b, true).unwrap(), &reference);
+        let specs = [BlockSpec::DEFAULT, BlockSpec { mc: 4, kc: 1, nc: 16 }, BlockSpec { mc: 33, kc: 17, nc: 23 }];
+        for spec in specs {
+            for workers in [1, 3] {
+                let bpack = pack_b_batched(spec, bt, k, n, b.data(), k, true, workers);
+                let mut out = vec![0.0f32; bt * m * n];
+                batched_gemm_packed(spec, bt, m, k, n, a.data(), &bpack, false, &mut out, workers);
+                assert_eq!(out, reference.data(), "spec {spec:?} workers {workers}");
+            }
         }
     }
 

@@ -185,13 +185,32 @@ impl Tensor {
     /// Used for per-expert FFN computation where the leading axis indexes
     /// experts; the shared thread pool parallelizes over that axis with
     /// bit-identical results at any worker count (see [`crate::gemm`]).
+    /// This is [`Tensor::batched_matmul_t`] without a transpose.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::RankMismatch`]/[`TensorError::ShapeMismatch`]
     /// on malformed inputs.
     pub fn batched_matmul(&self, other: &Tensor) -> Result<Tensor> {
-        crate::gemm::batched_matmul_tiled(self, other, 0)
+        self.batched_matmul_t(other, false)
+    }
+
+    /// Batched matrix product with an optional per-slice transpose of
+    /// `other`: with `transpose_b`, `other` is stored `(B, N, K)` and each
+    /// slice is read as its transpose, giving `(B, M, K) x (B, N, K)ᵀ ->
+    /// (B, M, N)` — the expert dX product against forward weights.
+    ///
+    /// As with [`Tensor::matmul_t`], the transpose is resolved while the
+    /// packed engine copies `other` into panels, so no transposed copy is
+    /// materialized. The result is bit-identical to permuting `other` to
+    /// `(B, K, N)` and calling [`Tensor::batched_matmul`], at any worker
+    /// count.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Tensor::batched_matmul`].
+    pub fn batched_matmul_t(&self, other: &Tensor, transpose_b: bool) -> Result<Tensor> {
+        crate::gemm::batched_matmul_tiled_t(self, other, transpose_b, 0)
     }
 
     /// Matrix product against a weight already resident in panel layout
@@ -786,19 +805,36 @@ impl Tensor {
         let in_dims = self.shape();
         let out_dims: Vec<usize> = perm.iter().map(|&p| in_dims[p]).collect();
         let in_strides = crate::stride_for(in_dims);
-        let out_volume: usize = out_dims.iter().product();
-        let mut out = vec![0.0f32; out_volume];
-        let out_strides = crate::stride_for(&out_dims);
-        for (o_idx, slot) in out.iter_mut().enumerate() {
-            // Decompose o_idx into output coordinates, map to input offset.
-            let mut rem = o_idx;
-            let mut in_off = 0usize;
-            for (d, &os) in out_strides.iter().enumerate() {
-                let coord = rem / os;
-                rem %= os;
-                in_off += coord * in_strides[perm[d]];
+        // Input stride of each output axis.
+        let src_strides: Vec<usize> = perm.iter().map(|&p| in_strides[p]).collect();
+        let volume: usize = out_dims.iter().product();
+        let mut out = Vec::with_capacity(volume);
+        // Walk the output row by row (rows along the last output axis),
+        // advancing the input offset with an odometer over the outer axes
+        // instead of decomposing every output index with div/mod.
+        let (inner, inner_stride) = match (out_dims.last(), src_strides.last()) {
+            (Some(&len), Some(&stride)) => (len, stride),
+            _ => (1, 1),
+        };
+        let outer = out_dims.len().saturating_sub(1);
+        let data = self.data();
+        let mut coord = vec![0usize; outer];
+        let mut base = 0usize;
+        for _ in 0..volume.checked_div(inner).unwrap_or(0) {
+            if inner_stride == 1 {
+                out.extend_from_slice(&data[base..base + inner]);
+            } else {
+                out.extend((0..inner).map(|i| data[base + i * inner_stride]));
             }
-            *slot = self.data()[in_off];
+            for d in (0..outer).rev() {
+                coord[d] += 1;
+                base += src_strides[d];
+                if coord[d] < out_dims[d] {
+                    break;
+                }
+                base -= coord[d] * src_strides[d];
+                coord[d] = 0;
+            }
         }
         Tensor::from_vec(out_dims, out)
     }
@@ -829,6 +865,35 @@ mod permute_tests {
     fn permute_identity() {
         let x = Tensor::from_vec(vec![2, 2, 2], (0..8).map(|v| v as f32).collect()).unwrap();
         assert_eq!(x.permute(&[0, 1, 2]).unwrap(), x);
+    }
+
+    #[test]
+    fn permute_rank4_swap_leading_matches_index_formula() {
+        // The expert-layout permutation: out[j, i, c, m] = in[i, j, c, m].
+        let (d0, d1, d2, d3) = (3, 2, 4, 5);
+        let x = Tensor::from_vec(vec![d0, d1, d2, d3], (0..120).map(|v| v as f32).collect())
+            .unwrap();
+        let y = x.permute(&[1, 0, 2, 3]).unwrap();
+        assert_eq!(y.shape(), &[d1, d0, d2, d3]);
+        for j in 0..d1 {
+            for i in 0..d0 {
+                for c in 0..d2 {
+                    for m in 0..d3 {
+                        let out = y.data()[((j * d0 + i) * d2 + c) * d3 + m];
+                        let inp = x.data()[((i * d1 + j) * d2 + c) * d3 + m];
+                        assert_eq!(out, inp, "[{j},{i},{c},{m}]");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn permute_handles_empty_and_rank1() {
+        let e = Tensor::zeros(vec![2, 0, 3]);
+        assert_eq!(e.permute(&[2, 1, 0]).unwrap().shape(), &[3, 0, 2]);
+        let v = Tensor::from_vec(vec![4], vec![1., 2., 3., 4.]).unwrap();
+        assert_eq!(v.permute(&[0]).unwrap(), v);
     }
 
     #[test]

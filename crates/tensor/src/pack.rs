@@ -131,7 +131,7 @@ impl PackedTensor {
         let spec = if spec.is_valid() { spec } else { BlockSpec::DEFAULT };
         let (bt, k, n) = (b.shape()[0], b.shape()[1], b.shape()[2]);
         let w = pool::resolve_workers(workers);
-        let buf = gemm::pack_b_batched(spec, bt, k, n, b.data(), w);
+        let buf = gemm::pack_b_batched(spec, bt, k, n, b.data(), n, false, w);
         Ok(PackedTensor {
             panel_len: gemm::packed_len(spec, k, n),
             buf: Buf::Owned(buf),

@@ -389,7 +389,7 @@ mod tests {
                 total.fetch_add(j, Ordering::Relaxed);
             });
         });
-        assert_eq!(total.load(Ordering::Relaxed), 4 * (0 + 1 + 2 + 3));
+        assert_eq!(total.load(Ordering::Relaxed), 4 * (0..4).sum::<usize>());
     }
 
     #[test]

@@ -71,6 +71,38 @@ proptest! {
         }
     }
 
+    /// The batched engine's virtual `B` transpose (the expert dX product
+    /// against forward weights) equals a per-slice rank-2
+    /// `matmul_reference(.., false, true)` bit for bit, on both sides of
+    /// the small-problem cutoff, across `MR`/`NR`/`KC` edge tiles, and at
+    /// worker counts 1–4; the reference and public entry points agree.
+    #[test]
+    fn tiled_batched_transpose_b_is_bit_identical(
+        dims in (1usize..4, 1usize..70, 1usize..300, 1usize..100),
+        seed in any::<u64>(),
+    ) {
+        let (e, m, k, n) = dims;
+        let a = random_tensor(vec![e, m, k], seed);
+        let b = random_tensor(vec![e, n, k], seed ^ 0x7B5E);
+        let mut expected = Vec::with_capacity(e * m * n);
+        for s in 0..e {
+            let a_s = Tensor::from_vec(vec![m, k], a.data()[s * m * k..(s + 1) * m * k].to_vec()).unwrap();
+            let b_s = Tensor::from_vec(vec![n, k], b.data()[s * n * k..(s + 1) * n * k].to_vec()).unwrap();
+            expected.extend_from_slice(gemm::matmul_reference(&a_s, &b_s, false, true).unwrap().data());
+        }
+        let reference = gemm::batched_matmul_reference_t(&a, &b, true).unwrap();
+        prop_assert!(reference.data() == expected.as_slice(), "reference: e={e} m={m} k={k} n={n}");
+        for workers in 1..=4 {
+            let tiled = gemm::batched_matmul_tiled_t(&a, &b, true, workers).unwrap();
+            prop_assert_eq!(tiled.shape(), &[e, m, n][..]);
+            prop_assert!(
+                tiled.data() == expected.as_slice(),
+                "transposed batched matmul diverged: e={e} m={m} k={k} n={n} workers={workers}"
+            );
+        }
+        prop_assert!(a.batched_matmul_t(&b, true).unwrap().data() == expected.as_slice());
+    }
+
     /// Prepacked weight panels are a pure layout change: a matmul through
     /// a resident [`PackedTensor`] equals the reference bit for bit across
     /// ragged shapes, both `B` transposes, and all worker counts.
@@ -204,6 +236,21 @@ fn non_finite_operands_propagate_through_all_paths() {
             assert!(
                 r.to_bits() == t.to_bits(),
                 "element {i}: reference {r:?} vs tiled {t:?} (workers={workers})"
+            );
+        }
+    }
+    // The batched engine with a virtual `B` transpose: the same operands
+    // stored as one `(1, N, K)` slice must propagate the same NaNs.
+    let a3 = Tensor::from_vec(vec![1, m, k], a.data().to_vec()).unwrap();
+    let bt = b.permute(&[1, 0]).unwrap();
+    let b3 = Tensor::from_vec(vec![1, n, k], bt.data().to_vec()).unwrap();
+    let batched = std::iter::once(gemm::batched_matmul_reference_t(&a3, &b3, true).unwrap())
+        .chain(WORKER_COUNTS.map(|w| gemm::batched_matmul_tiled_t(&a3, &b3, true, w).unwrap()));
+    for (path, y) in batched.enumerate() {
+        for (i, (r, t)) in reference.data().iter().zip(y.data()).enumerate() {
+            assert!(
+                r.to_bits() == t.to_bits(),
+                "element {i}: reference {r:?} vs transposed batched path {path}: {t:?}"
             );
         }
     }

@@ -7,8 +7,9 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+# Every target: libraries, binaries, tests, benches and examples.
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo test -q"
 cargo test -q

@@ -17,6 +17,7 @@ use lancet_repro::cost::ClusterSpec;
 use lancet_repro::exec::{Bindings, Executor};
 use lancet_repro::ir::{to_text, GateKind, Graph, TensorKind};
 use lancet_repro::models::{build_forward, GptMoeConfig};
+use lancet_repro::store::format::fnv1a;
 use lancet_repro::tensor::{Tensor, TensorRng};
 
 /// Model zoo: every architectural axis the scheduler touches — switch,
@@ -31,15 +32,6 @@ fn zoo() -> Vec<(&'static str, GptMoeConfig)> {
     ]
 }
 
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Name-keyed deterministic binding: identical tensor values regardless
 /// of how a rewrite renumbered ids. Mirrors `init_weights`' layout
 /// conventions (expert weights per-device, everything else replicated);
@@ -47,7 +39,7 @@ fn fnv1a(s: &str) -> u64 {
 fn bind(graph: &Graph, devices: usize, seed: u64) -> Bindings {
     let mut b = Bindings::new(devices);
     for t in graph.tensors() {
-        let h = fnv1a(&t.name);
+        let h = fnv1a(t.name.as_bytes());
         match t.kind {
             TensorKind::Weight => {
                 let rank = t.shape.rank();
