@@ -77,11 +77,20 @@ fn main() {
     let packed_b = PackedTensor::pack(&b, false).unwrap();
     let packed_we = PackedTensor::pack_batched(&we).unwrap();
     let step_ref = gemm::matmul_reference(&a_step, &b, false, false).unwrap();
-    assert_eq!(
-        step_ref.data(),
-        gemm::matmul_packed(&a_step, &packed_b, false, 1).unwrap().data(),
-        "prepacked step matmul not bit-identical"
-    );
+    // The step shape is a single row block, so workers split its column
+    // strips: every worker count must still reproduce the reference.
+    for workers in [1, 2, 0] {
+        assert_eq!(
+            step_ref.data(),
+            gemm::matmul_tiled(&a_step, &b, false, false, workers).unwrap().data(),
+            "step matmul not bit-identical (workers={workers})"
+        );
+        assert_eq!(
+            step_ref.data(),
+            gemm::matmul_packed(&a_step, &packed_b, false, workers).unwrap().data(),
+            "prepacked step matmul not bit-identical (workers={workers})"
+        );
+    }
     assert_eq!(
         naive.data(),
         gemm::matmul_packed(&a, &packed_b, false, 1).unwrap().data(),
@@ -92,7 +101,7 @@ fn main() {
         gemm::batched_matmul_packed(&xe, &packed_we, 1).unwrap().data(),
         "prepacked batched matmul not bit-identical"
     );
-    println!("bit-identity: naive == tiled == threaded == prepacked (workers 1, 2, auto)\n");
+    println!("bit-identity: naive == tiled == threaded == prepacked (workers 1, 2, auto; step shape too)\n");
 
     let mut group = c.benchmark_group("matmul_gpt2s_moe");
     group.bench_function("naive", |bench| {
@@ -127,6 +136,9 @@ fn main() {
     });
     group.bench_function("prepacked", |bench| {
         bench.iter(|| gemm::matmul_packed(&a_step, &packed_b, false, 1).unwrap())
+    });
+    group.bench_function("prepacked_threaded", |bench| {
+        bench.iter(|| gemm::matmul_packed(&a_step, &packed_b, false, 0).unwrap())
     });
     group.finish();
 
@@ -163,6 +175,8 @@ fn main() {
     let batched_threaded =
         speedup("batched_matmul_experts/naive", "batched_matmul_experts/threaded");
     let prepack_step = speedup("matmul_step_prepack/repack", "matmul_step_prepack/prepacked");
+    let step_threaded =
+        speedup("matmul_step_prepack/prepacked", "matmul_step_prepack/prepacked_threaded");
     let prepack_batch = speedup("matmul_batch_prepack/repack", "matmul_batch_prepack/prepacked");
     let prepack_experts =
         speedup("batched_experts_prepack/repack", "batched_experts_prepack/prepacked");
@@ -177,6 +191,8 @@ fn main() {
     println!("  step  (m={STEP_TOKENS:<3})   {prepack_step:>7.2}x");
     println!("  batch (m={TOKENS:<3})   {prepack_batch:>7.2}x");
     println!("  experts (bt={EXPERTS})  {prepack_experts:>7.2}x");
+    println!("speedup of threaded over one-worker prepacked (column strips):");
+    println!("  step  (m={STEP_TOKENS:<3})   {step_threaded:>7.2}x");
     println!("  workers (auto)   {:>7}", default_workers());
 
     let best = tiled_vs_naive.max(threaded_vs_naive);
@@ -203,6 +219,7 @@ fn main() {
                 ("prepacked_vs_repack_step", prepack_step),
                 ("prepacked_vs_repack_batch", prepack_batch),
                 ("prepacked_vs_repack_experts", prepack_experts),
+                ("prepacked_threaded_vs_prepacked_step", step_threaded),
             ],
         );
         println!("\nwrote {path}");

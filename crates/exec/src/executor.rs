@@ -2,7 +2,7 @@
 
 use crate::kernels::{self, KernelFailure};
 use crate::{Bindings, ExecError, Result};
-use lancet_ir::{Graph, Op, TensorKind};
+use lancet_ir::{Graph, Op, TensorId, TensorKind};
 use lancet_moe::DispatchedChunk;
 use lancet_tensor::Tensor;
 
@@ -107,31 +107,28 @@ impl<'g> Executor<'g> {
         Ok(bindings)
     }
 
+    /// Every device's value of `tid`, borrowed in device order.
+    fn gather<'b>(&self, tid: TensorId, bindings: &'b Bindings) -> Result<Vec<&'b Tensor>> {
+        (0..self.devices).map(|d| bindings.get_required(d, tid, &self.graph.tensor(tid).name)).collect()
+    }
+
     fn run_collective(&self, instr: &lancet_ir::Instr, bindings: &mut Bindings) -> Result<()> {
-        let gather = |tid, bindings: &Bindings| -> Result<Vec<Tensor>> {
-            (0..self.devices)
-                .map(|d| {
-                    bindings
-                        .get_required(d, tid, &self.graph.tensor(tid).name)
-                        .cloned()
-                })
-                .collect()
+        // The exchanges consume owned per-device buffers.
+        let gather_owned = |tid, bindings: &Bindings| -> Result<Vec<Tensor>> {
+            Ok(self.gather(tid, bindings)?.into_iter().cloned().collect())
         };
+        let moe_err = |source| ExecError::Moe { instr: instr.id, op: instr.op.name(), source };
         match &instr.op {
             Op::AllToAll => {
-                let bufs = gather(instr.inputs[0], bindings)?;
-                let out = lancet_moe::all_to_all_uniform(&bufs).map_err(|e| ExecError::Moe {
-                    instr: instr.id,
-                    op: instr.op.name(),
-                    source: e,
-                })?;
+                let bufs = gather_owned(instr.inputs[0], bindings)?;
+                let out = lancet_moe::all_to_all_uniform(&bufs).map_err(moe_err)?;
                 for (d, v) in out.into_iter().enumerate() {
                     bindings.insert(d, instr.outputs[0], v);
                 }
             }
             Op::AllToAllIrr => {
-                let bufs = gather(instr.inputs[0], bindings)?;
-                let counts = gather(instr.inputs[1], bindings)?;
+                let bufs = gather_owned(instr.inputs[0], bindings)?;
+                let counts = gather_owned(instr.inputs[1], bindings)?;
                 let chunks: Vec<DispatchedChunk> = bufs
                     .into_iter()
                     .zip(counts)
@@ -140,12 +137,7 @@ impl<'g> Executor<'g> {
                         counts: c.data().iter().map(|&x| x as u32).collect(),
                     })
                     .collect();
-                let (out, _stats) =
-                    lancet_moe::all_to_all_irregular(&chunks).map_err(|e| ExecError::Moe {
-                        instr: instr.id,
-                        op: instr.op.name(),
-                        source: e,
-                    })?;
+                let (out, _stats) = lancet_moe::all_to_all_irregular(&chunks).map_err(moe_err)?;
                 for (d, chunk) in out.into_iter().enumerate() {
                     let counts_t = Tensor::from_vec(
                         vec![chunk.counts.len()],
@@ -157,15 +149,9 @@ impl<'g> Executor<'g> {
                 }
             }
             Op::AllReduce => {
-                let vals = gather(instr.inputs[0], bindings)?;
-                let out = lancet_moe::all_reduce_sum(&vals).map_err(|e| ExecError::Moe {
-                    instr: instr.id,
-                    op: instr.op.name(),
-                    source: e,
-                })?;
-                for (d, v) in out.into_iter().enumerate() {
-                    bindings.insert(d, instr.outputs[0], v);
-                }
+                // One sum, shared by every device's binding.
+                let sum = lancet_moe::reduce_sum(&self.gather(instr.inputs[0], bindings)?).map_err(moe_err)?;
+                bindings.set_all(instr.outputs[0], sum);
             }
             Op::AllGather { gpus } => {
                 if *gpus != self.devices {
@@ -174,16 +160,10 @@ impl<'g> Executor<'g> {
                         detail: format!("all-gather over {gpus} devices in a {}-device run", self.devices),
                     });
                 }
-                let shards = gather(instr.inputs[0], bindings)?;
-                let refs: Vec<&Tensor> = shards.iter().collect();
-                let full = Tensor::concat(&refs, 0).map_err(|e| ExecError::Kernel {
-                    instr: instr.id,
-                    op: instr.op.name(),
-                    source: e,
+                let full = Tensor::concat(&self.gather(instr.inputs[0], bindings)?, 0).map_err(|e| {
+                    ExecError::Kernel { instr: instr.id, op: instr.op.name(), source: e }
                 })?;
-                for d in 0..self.devices {
-                    bindings.insert(d, instr.outputs[0], full.clone());
-                }
+                bindings.set_all(instr.outputs[0], full);
             }
             Op::ReduceScatter { gpus } => {
                 if *gpus != self.devices {
@@ -192,13 +172,7 @@ impl<'g> Executor<'g> {
                         detail: format!("reduce-scatter over {gpus} devices in a {}-device run", self.devices),
                     });
                 }
-                let vals = gather(instr.inputs[0], bindings)?;
-                let summed = lancet_moe::all_reduce_sum(&vals).map_err(|e| ExecError::Moe {
-                    instr: instr.id,
-                    op: instr.op.name(),
-                    source: e,
-                })?;
-                let full = &summed[0];
+                let full = lancet_moe::reduce_sum(&self.gather(instr.inputs[0], bindings)?).map_err(moe_err)?;
                 let rows = full.shape()[0];
                 let shard_rows = rows / self.devices;
                 for d in 0..self.devices {

@@ -638,11 +638,13 @@ pub(crate) fn eval(op: &Op, ins: &[&Tensor], packed_b: Option<&PackedTensor>, _d
         }
         Op::Concat { axis } => Ok(vec![Tensor::concat(ins, *axis)?]),
         Op::Zeros { shape } => Ok(vec![Tensor::zeros(shape.clone())]),
-        Op::SgdUpdate { lr } => Ok(vec![ins[0].sub(&ins[1].scale(*lr))?]),
-        Op::SgdMomentumUpdate { lr, momentum } => {
+        // Fused single-pass updates: the same roundings as `w.sub(&g.scale(lr))`
+        // (bit-identical) without a scaled temporary the size of the weight.
+        &Op::SgdUpdate { lr } => Ok(vec![ins[0].zip_elementwise(ins[1], "sgd", |w, g| w - g * lr)?]),
+        &Op::SgdMomentumUpdate { lr, momentum } => {
             let (w, dw, vel) = (ins[0], ins[1], ins[2]);
-            let vel_next = vel.scale(*momentum).add(dw)?;
-            let w_next = w.sub(&vel_next.scale(*lr))?;
+            let vel_next = vel.zip_elementwise(dw, "sgd_momentum", |v, g| v * momentum + g)?;
+            let w_next = w.zip_elementwise(&vel_next, "sgd_momentum", |w, v| w - v * lr)?;
             Ok(vec![w_next, vel_next])
         }
         Op::AdamUpdate { lr, beta1, beta2, eps } => {

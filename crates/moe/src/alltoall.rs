@@ -274,12 +274,28 @@ pub fn all_to_all_hierarchical(
 /// Returns [`MoeError::BadTopology`] when shapes differ, or an empty
 /// device list is given.
 pub fn all_reduce_sum(tensors: &[Tensor]) -> Result<Vec<Tensor>> {
-    let first = tensors.first().ok_or_else(|| MoeError::BadTopology { detail: "no devices".into() })?;
-    let mut sum = first.clone();
-    for t in &tensors[1..] {
+    let refs: Vec<&Tensor> = tensors.iter().collect();
+    Ok(vec![reduce_sum(&refs)?; tensors.len()])
+}
+
+/// The element-wise sum of every device's tensor, computed once as a left
+/// fold in device order — the value [`all_reduce_sum`] hands each device.
+/// Borrows its operands, so a caller that shares one result across
+/// devices copies nothing.
+///
+/// # Errors
+///
+/// Returns [`MoeError::BadTopology`] for an empty device list and
+/// [`MoeError::Tensor`] when shapes differ.
+pub fn reduce_sum(tensors: &[&Tensor]) -> Result<Tensor> {
+    let (first, rest) =
+        tensors.split_first().ok_or_else(|| MoeError::BadTopology { detail: "no devices".into() })?;
+    let Some((second, rest)) = rest.split_first() else { return Ok((*first).clone()) };
+    let mut sum = first.add(second)?;
+    for t in rest {
         sum = sum.add(t)?;
     }
-    Ok(vec![sum; tensors.len()])
+    Ok(sum)
 }
 
 #[cfg(test)]

@@ -43,7 +43,7 @@ mod routing;
 mod workload;
 
 pub use alltoall::{
-    all_reduce_sum, all_to_all_hierarchical, all_to_all_irregular, all_to_all_uniform,
+    all_reduce_sum, all_to_all_hierarchical, all_to_all_irregular, all_to_all_uniform, reduce_sum,
     HierarchicalStats, IrregularStats,
 };
 pub use capacity::{expert_capacity, CapacityState};

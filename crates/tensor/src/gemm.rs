@@ -37,7 +37,13 @@
 //! Every kernel in this module accumulates each output element in **the
 //! same order: `k` ascending** (`kc` blocks ascending, offsets ascending
 //! inside a block — exactly the reference kernel's order). Workers split
-//! the *output* by row blocks, so each element is written by one task.
+//! the *output* over one `(slice, mc row block, NR column strip)` task
+//! grid, each task taking a contiguous run of units, so a product with a
+//! single row block (every GEMM with at most `mc` rows) still spreads its
+//! columns over every worker. Each element is written by exactly one
+//! task, through a column window of its own tile rows; where the grid is
+//! cut only decides which task owns an element, never the order its `k`
+//! terms are added in.
 //! The blocking parameters only change how the iteration space is *cut*,
 //! never the per-element accumulation order: the accumulator tile is
 //! loaded from and stored back to `out` per `kc` block, so the adds stay
@@ -52,6 +58,8 @@
 //! Unlike the seed kernel, no `a == 0.0` short-circuit is applied: skipping
 //! a zero multiplicand silently dropped `0 · ∞` and `0 · NaN`
 //! contributions, diverging from IEEE semantics on non-finite inputs.
+
+use std::ops::Range;
 
 use crate::pack::PackedTensor;
 use crate::pool::{self, SharedSliceMut};
@@ -313,9 +321,10 @@ pub fn batched_matmul_reference_t(a: &Tensor, b: &Tensor, tb: bool) -> Result<Te
 }
 
 /// Tiled batched matmul. Packs every expert's panels in parallel over the
-/// shared pool, then splits the `(expert, row-block)` grid across workers
-/// — so parallelism no longer collapses when `bt` is smaller than the
-/// worker count, and packing is no longer serialized per expert.
+/// shared pool, then splits the `(expert, row block, column strip)` grid
+/// across workers — so parallelism does not collapse when `bt` is smaller
+/// than the worker count or each expert has a single row block, and
+/// packing is not serialized per expert.
 ///
 /// Per-element accumulation order is unchanged, so results are
 /// bit-identical to [`batched_matmul_reference`] for any `workers`
@@ -526,26 +535,8 @@ pub(crate) fn pack_b_batched(
     pack
 }
 
-/// Arguments threaded through the blocked kernels.
-struct Gemm<'a> {
-    spec: BlockSpec,
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &'a [f32],
-    /// Stored column count of `a` (stride between stored rows).
-    ac: usize,
-    ta: bool,
-    bpack: &'a [f32],
-    num_nc: usize,
-    out: SharedSliceMut<'a>,
-    /// Element offset of this product's output inside `out` (the batched
-    /// kernel points every slice's tasks at one shared buffer).
-    out_base: usize,
-}
-
-/// Runs the packed kernel over `out`, splitting `mc` row blocks across at
-/// most `workers` tasks.
+/// Runs the packed kernel over `out` for one product. See
+/// [`gemm_grid`] for how the work is split.
 #[allow(clippy::too_many_arguments)] // flat slice+stride kernel signature
 fn gemm_packed(
     spec: BlockSpec,
@@ -559,28 +550,12 @@ fn gemm_packed(
     out: &mut [f32],
     workers: usize,
 ) {
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    let g = Gemm {
-        spec,
-        m,
-        k,
-        n,
-        a,
-        ac,
-        ta,
-        bpack,
-        num_nc: n.div_ceil(spec.nc),
-        out: SharedSliceMut::new(out),
-        out_base: 0,
-    };
-    pool::par_ranges(m.div_ceil(spec.mc), workers, |blocks| compute_blocks(&g, blocks));
+    gemm_grid(spec, 1, m, k, n, (a, 0, ac, ta), (bpack, 0), out, workers);
 }
 
 /// Runs the packed kernel for every slice of a batched product over one
-/// shared `(slice, row-block)` task grid. `shared_b` broadcasts a single
-/// panel set across the batch axis.
+/// shared task grid. `shared_b` broadcasts a single panel set across the
+/// batch axis.
 #[allow(clippy::too_many_arguments)] // flat slice+stride kernel signature
 fn batched_gemm_packed(
     spec: BlockSpec,
@@ -594,38 +569,84 @@ fn batched_gemm_packed(
     out: &mut [f32],
     workers: usize,
 ) {
+    let b_step = if shared_b { 0 } else { packed_len(spec, k, n) };
+    gemm_grid(spec, bt, m, k, n, (a, m * k, k, false), (bpack, b_step), out, workers);
+}
+
+/// Arguments threaded through the blocked kernels: a stack of `bt`
+/// products that share `m`, `k`, `n` and the blocking.
+struct Gemm<'a> {
+    spec: BlockSpec,
+    m: usize,
+    k: usize,
+    n: usize,
+    /// `A` of every slice; slice `bi` starts at `bi * a_step`.
+    a: &'a [f32],
+    a_step: usize,
+    /// Stored column count of `a` (stride between stored rows).
+    ac: usize,
+    ta: bool,
+    /// Panels of every slice; slice `bi` starts at `bi * b_step` (`0`
+    /// broadcasts one panel set).
+    bpack: &'a [f32],
+    b_step: usize,
+    num_mc: usize,
+    num_nc: usize,
+    /// `NR` strips in a full `nc` panel.
+    panel_strips: usize,
+    /// `NR` strips across all `n` columns (every panel's, ragged ones
+    /// included).
+    strips: usize,
+    /// The `(bt, m, n)` output; tasks only touch it through per-tile-row
+    /// column windows.
+    out: SharedSliceMut<'a>,
+}
+
+/// The engine's one parallel loop: splits the `(slice, mc row block, NR
+/// column strip)` grid into at most `workers` contiguous runs of units,
+/// strip fastest. A product with a single row block — every GEMM with at
+/// most `mc` rows — therefore splits its columns evenly across workers.
+/// Strips are `NR`-aligned rather than panel-aligned, so `n = 768` splits
+/// 384/384, not 512/256.
+///
+/// `a` is `(data, slice step, stored column count, transposed)`; `b` is
+/// `(panels, slice step)`.
+#[allow(clippy::too_many_arguments)] // flat slice+stride kernel signature
+fn gemm_grid(
+    spec: BlockSpec,
+    bt: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+    (a, a_step, ac, ta): (&[f32], usize, usize, bool),
+    (bpack, b_step): (&[f32], usize),
+    out: &mut [f32],
+    workers: usize,
+) {
     if bt == 0 || m == 0 || n == 0 || k == 0 {
         return;
     }
-    let plen = packed_len(spec, k, n);
-    let num_mc = m.div_ceil(spec.mc);
     let num_nc = n.div_ceil(spec.nc);
-    let view = SharedSliceMut::new(out);
-    pool::par_ranges(bt * num_mc, workers, |units| {
-        // Group the contiguous unit range by slice so each slice gets one
-        // `compute_blocks` call (one `apack` buffer) per task.
-        let mut u = units.start;
-        while u < units.end {
-            let bi = u / num_mc;
-            let end = ((bi + 1) * num_mc).min(units.end);
-            let poff = if shared_b { 0 } else { bi * plen };
-            let g = Gemm {
-                spec,
-                m,
-                k,
-                n,
-                a: &a[bi * m * k..(bi + 1) * m * k],
-                ac: k,
-                ta: false,
-                bpack: &bpack[poff..poff + plen],
-                num_nc,
-                out: view,
-                out_base: bi * m * n,
-            };
-            compute_blocks(&g, (u - bi * num_mc)..(end - bi * num_mc));
-            u = end;
-        }
-    });
+    let panel_strips = spec.nc.div_ceil(NR);
+    let last_panel = n - (num_nc - 1) * spec.nc;
+    let g = Gemm {
+        spec,
+        m,
+        k,
+        n,
+        a,
+        a_step,
+        ac,
+        ta,
+        bpack,
+        b_step,
+        num_mc: m.div_ceil(spec.mc),
+        num_nc,
+        panel_strips,
+        strips: (num_nc - 1) * panel_strips + last_panel.div_ceil(NR),
+        out: SharedSliceMut::new(out),
+    };
+    pool::par_ranges(bt * g.num_mc * g.strips, workers, |units| compute_units(&g, units));
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -669,116 +690,149 @@ pub fn detected_isa() -> &'static str {
     }
 }
 
-/// Dispatches a block range to the widest kernel the CPU supports. The
-/// AVX-512/AVX2 copies differ only in codegen (16/8-lane vectorization of
-/// the same loops, across independent output elements) — results are
-/// bit-identical.
-fn compute_blocks(g: &Gemm<'_>, blocks: std::ops::Range<usize>) {
+/// Dispatches a run of grid units to the widest kernel the CPU supports.
+/// The AVX-512/AVX2 copies differ only in codegen (16/8-lane
+/// vectorization of the same loops, across independent output elements)
+/// — results are bit-identical.
+fn compute_units(g: &Gemm<'_>, units: Range<usize>) {
     #[cfg(target_arch = "x86_64")]
     {
         match isa() {
             // SAFETY: the matching CPU feature was verified at runtime.
-            Isa::Avx512 => return unsafe { compute_blocks_avx512(g, blocks) },
+            Isa::Avx512 => return unsafe { compute_units_avx512(g, units) },
             // SAFETY: as above.
-            Isa::Avx2 => return unsafe { compute_blocks_avx2(g, blocks) },
+            Isa::Avx2 => return unsafe { compute_units_avx2(g, units) },
             Isa::Portable => {}
         }
     }
-    compute_blocks_portable(g, blocks);
+    compute_units_portable(g, units);
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn compute_blocks_avx512(g: &Gemm<'_>, blocks: std::ops::Range<usize>) {
-    compute_blocks_impl(g, blocks);
+unsafe fn compute_units_avx512(g: &Gemm<'_>, units: Range<usize>) {
+    compute_units_impl(g, units);
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn compute_blocks_avx2(g: &Gemm<'_>, blocks: std::ops::Range<usize>) {
-    compute_blocks_impl(g, blocks);
+unsafe fn compute_units_avx2(g: &Gemm<'_>, units: Range<usize>) {
+    compute_units_impl(g, units);
 }
 
-fn compute_blocks_portable(g: &Gemm<'_>, blocks: std::ops::Range<usize>) {
-    compute_blocks_impl(g, blocks);
+fn compute_units_portable(g: &Gemm<'_>, units: Range<usize>) {
+    compute_units_impl(g, units);
 }
 
-/// The blocked loop nest for a contiguous range of `mc` row blocks.
+/// The blocked loop nest for a contiguous run of `(slice, row block,
+/// strip)` units. The run is cut at row-block boundaries; for each piece
+/// the task packs `A` once per `(row block, kc)` block and sweeps only its
+/// own strips of each `B` panel. Every output element belongs to exactly
+/// one unit and accumulates its `kc` blocks in ascending order, so any cut
+/// of the grid is bit-identical to [`matmul_reference`].
 /// `#[inline(always)]` so each dispatch wrapper compiles its own copy
 /// with its own target features.
 #[inline(always)]
-fn compute_blocks_impl(g: &Gemm<'_>, blocks: std::ops::Range<usize>) {
+fn compute_units_impl(g: &Gemm<'_>, units: Range<usize>) {
     let (mc, kc, nc) = (g.spec.mc, g.spec.kc, g.spec.nc);
-    let mut apack = vec![0.0f32; mc * kc];
-    for blk in blocks {
+    let mut apack = vec![0.0f32; mc.min(g.m) * kc.min(g.k)];
+    let mut u = units.start;
+    while u < units.end {
+        let row = u / g.strips;
+        let end = ((row + 1) * g.strips).min(units.end);
+        let strips = (u - row * g.strips)..(end - row * g.strips);
+        u = end;
+        let (bi, blk) = (row / g.num_mc, row % g.num_mc);
         let i0 = blk * mc;
         let mcb = mc.min(g.m - i0);
-        let o0 = g.out_base + i0 * g.n;
-        // SAFETY: `(slice, row-block)` output ranges are disjoint across
-        // tasks.
-        let out_rows = unsafe { g.out.range_mut(o0..o0 + mcb * g.n) };
+        let a = &g.a[bi * g.a_step..];
+        let bpack = &g.bpack[bi * g.b_step..];
+        let o0 = (bi * g.m + i0) * g.n;
+        let panels = strips.start / g.panel_strips..(strips.end - 1) / g.panel_strips + 1;
         for kci in 0..g.k.div_ceil(kc) {
             let p0 = kci * kc;
             let kcb = kc.min(g.k - p0);
-            pack_a(g, i0, mcb, p0, kcb, &mut apack);
-            for nci in 0..g.num_nc {
+            pack_a(a, g.ac, g.ta, i0, mcb, p0, kcb, &mut apack);
+            for nci in panels.clone() {
                 let j0 = nci * nc;
                 let ncb = nc.min(g.n - j0);
                 let base = (kci * g.num_nc + nci) * (kc * nc);
-                let panel = &g.bpack[base..base + kcb * ncb];
-                macro_tile(out_rows, g.n, j0, mcb, kcb, ncb, &apack[..mcb * kcb], panel);
+                let panel = &bpack[base..base + kcb * ncb];
+                let first = nci * g.panel_strips;
+                let mine = strips.start.max(first) - first..strips.end.min(first + g.panel_strips) - first;
+                let tile = Tile { out: g.out, n: g.n, o0: o0 + j0, mcb, kcb, ncb };
+                macro_tile(&tile, mine, &apack[..mcb * kcb], panel);
             }
         }
     }
 }
 
 /// Copies the `mcb × kcb` block of `A` at `(i0, p0)` into `apack`,
-/// resolving a virtual transpose. Rows are interleaved in `MR`-row
-/// groups: group `g` starts at `g * MR * kcb`, is `pp`-major with its
-/// `rows` values contiguous per `k` step, matching the micro-kernel's
-/// broadcast order.
+/// resolving a virtual transpose (`ac` is the stored column count).
+/// Rows are interleaved in `MR`-row groups: group `g` starts at
+/// `g * MR * kcb`, is `pp`-major with its `rows` values contiguous per
+/// `k` step, matching the micro-kernel's broadcast order.
 #[inline(always)]
-fn pack_a(g: &Gemm<'_>, i0: usize, mcb: usize, p0: usize, kcb: usize, apack: &mut [f32]) {
+#[allow(clippy::too_many_arguments)] // flat slice+stride kernel signature
+fn pack_a(a: &[f32], ac: usize, ta: bool, i0: usize, mcb: usize, p0: usize, kcb: usize, apack: &mut [f32]) {
     for (grp, chunk) in apack[..mcb * kcb].chunks_mut(MR * kcb).enumerate() {
         let r0 = grp * MR;
         let rows = MR.min(mcb - r0);
         for pp in 0..kcb {
             for r in 0..rows {
                 let (i, p) = (i0 + r0 + r, p0 + pp);
-                chunk[pp * rows + r] = if g.ta { g.a[p * g.ac + i] } else { g.a[i * g.ac + p] };
+                chunk[pp * rows + r] = if ta { a[p * ac + i] } else { a[i * ac + p] };
             }
         }
     }
 }
 
-/// Accumulates an `mcb × ncb` output tile as a grid of `MR × NR` register
-/// tiles; edge tiles (row or column remainders) fall back to an
-/// order-identical scalar path. The `out` slice covers rows
-/// `i0..i0+mcb` of the full output (stride `n`); columns `j0` onward are
-/// updated.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)] // flat slice+stride kernel signature
-fn macro_tile(
-    out: &mut [f32],
+/// Where one `(row block, kc block, panel)` step writes: the output
+/// view, its row stride `n`, the offset `o0` of the block's top-left
+/// element (row `i0`, column `j0`), and the block's extent.
+struct Tile<'a> {
+    out: SharedSliceMut<'a>,
     n: usize,
-    j0: usize,
+    o0: usize,
     mcb: usize,
     kcb: usize,
     ncb: usize,
-    apack: &[f32],
-    panel: &[f32],
-) {
+}
+
+impl Tile<'_> {
+    /// The `w` output elements of tile row `r` starting at `off`.
+    ///
+    /// # Safety
+    ///
+    /// The caller's task must own that window: every `(row, strip)`
+    /// window of the output belongs to exactly one grid unit, and a task
+    /// holds at most one window at a time.
+    #[inline(always)]
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn row(&self, off: usize, r: usize, w: usize) -> &mut [f32] {
+        let start = off + r * self.n;
+        unsafe { self.out.range_mut(start..start + w) }
+    }
+}
+
+/// Accumulates strips `strips` of one panel into the output as a grid
+/// of `MR × NR` register tiles; edge tiles (row or column remainders)
+/// take an order-identical path with runtime widths.
+#[inline(always)]
+fn macro_tile(t: &Tile<'_>, strips: Range<usize>, apack: &[f32], panel: &[f32]) {
+    let kcb = t.kcb;
     for (grp, astrip) in apack.chunks(MR * kcb).enumerate() {
         let r0 = grp * MR;
-        let rows = MR.min(mcb - r0);
-        for (s, bstrip) in panel.chunks(kcb * NR).enumerate() {
+        let rows = MR.min(t.mcb - r0);
+        for s in strips.clone() {
             let c0 = s * NR;
-            let w = NR.min(ncb - c0);
-            let off = r0 * n + j0 + c0;
+            let w = NR.min(t.ncb - c0);
+            let bstrip = &panel[c0 * kcb..(c0 + w) * kcb];
+            let off = t.o0 + r0 * t.n + c0;
             if rows == MR && w == NR {
-                tile_full(out, n, off, kcb, astrip, bstrip);
+                tile_full(t, off, astrip, bstrip);
             } else {
-                tile_edge(out, n, off, rows, kcb, w, astrip, bstrip);
+                tile_edge(t, off, rows, w, astrip, bstrip);
             }
         }
     }
@@ -790,12 +844,13 @@ fn macro_tile(
 /// `NR` loops vectorize across independent output elements; there is no
 /// reduction, so lane width cannot change results.
 #[inline(always)]
-fn tile_full(out: &mut [f32], n: usize, off: usize, kcb: usize, astrip: &[f32], bstrip: &[f32]) {
+fn tile_full(t: &Tile<'_>, off: usize, astrip: &[f32], bstrip: &[f32]) {
     let mut acc = [[0.0f32; NR]; MR];
     for (r, accr) in acc.iter_mut().enumerate() {
-        accr.copy_from_slice(&out[off + r * n..off + r * n + NR]);
+        // SAFETY: this unit owns the tile's row windows (see `Tile::row`).
+        accr.copy_from_slice(unsafe { t.row(off, r, NR) });
     }
-    for pp in 0..kcb {
+    for pp in 0..t.kcb {
         let b: &[f32; NR] = bstrip[pp * NR..pp * NR + NR].try_into().expect("strip width");
         let a = &astrip[pp * MR..pp * MR + MR];
         for (r, accr) in acc.iter_mut().enumerate() {
@@ -806,33 +861,29 @@ fn tile_full(out: &mut [f32], n: usize, off: usize, kcb: usize, astrip: &[f32], 
         }
     }
     for (r, accr) in acc.iter().enumerate() {
-        out[off + r * n..off + r * n + NR].copy_from_slice(accr);
+        // SAFETY: as above.
+        unsafe { t.row(off, r, NR) }.copy_from_slice(accr);
     }
 }
 
-/// Remainder tiles (< `MR` rows or < `NR` columns): same `k`-ascending
-/// per-element order, operand widths from the packed layouts.
+/// Remainder tiles (< `MR` rows or < `NR` columns): one row at a time,
+/// held in a register-width accumulator across the `kcb` depth, with the
+/// same `k`-ascending per-element order and operand widths from the
+/// packed layouts.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)] // flat slice+stride kernel signature
-fn tile_edge(
-    out: &mut [f32],
-    n: usize,
-    off: usize,
-    rows: usize,
-    kcb: usize,
-    w: usize,
-    astrip: &[f32],
-    bstrip: &[f32],
-) {
-    for pp in 0..kcb {
-        let b = &bstrip[pp * w..pp * w + w];
-        let a = &astrip[pp * rows..pp * rows + rows];
-        for (r, &av) in a.iter().enumerate() {
-            let orow = &mut out[off + r * n..off + r * n + w];
-            for (o, &bv) in orow.iter_mut().zip(b) {
+fn tile_edge(t: &Tile<'_>, off: usize, rows: usize, w: usize, astrip: &[f32], bstrip: &[f32]) {
+    for r in 0..rows {
+        // SAFETY: this unit owns the tile's row windows (see `Tile::row`).
+        let orow = unsafe { t.row(off, r, w) };
+        let mut acc = [0.0f32; NR];
+        acc[..w].copy_from_slice(orow);
+        for pp in 0..t.kcb {
+            let av = astrip[pp * rows + r];
+            for (o, &bv) in acc[..w].iter_mut().zip(&bstrip[pp * w..pp * w + w]) {
                 *o += av * bv;
             }
         }
+        orow.copy_from_slice(&acc[..w]);
     }
 }
 

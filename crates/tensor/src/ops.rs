@@ -81,7 +81,16 @@ fn rowwise_map(src: &[f32], d: usize, f: impl Fn(&[f32], &mut [f32]) + Sync) -> 
 }
 
 impl Tensor {
-    fn zip_elementwise(&self, other: &Tensor, op: &'static str, f: impl Fn(f32, f32) -> f32 + Sync) -> Result<Tensor> {
+    /// Zips `f` over two same-shape tensors in one pass, chunk-parallel
+    /// for large inputs: the building block of [`Tensor::add`] and its
+    /// siblings, and of fused updates such as an SGD step `w - g · lr`,
+    /// which would otherwise allocate a scaled temporary. `op` names the
+    /// operation in a shape error.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] if shapes differ.
+    pub fn zip_elementwise(&self, other: &Tensor, op: &'static str, f: impl Fn(f32, f32) -> f32 + Sync) -> Result<Tensor> {
         if self.shape() != other.shape() {
             return Err(TensorError::ShapeMismatch {
                 op,

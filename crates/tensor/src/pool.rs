@@ -7,9 +7,10 @@
 //! The pool is deliberately simple: one job at a time, claimed task-by-task
 //! from a shared atomic counter. There are no per-worker deques and no
 //! stealing — kernels submit a small number of *coarse* tasks (one per
-//! worker, each covering a contiguous block of output rows / experts /
-//! elements), so a single counter is contention-free in practice and the
-//! task→data mapping stays deterministic.
+//! worker, each covering a contiguous run of output tiles — `(row block,
+//! column strip)` units for GEMMs — or of experts / elements), so a
+//! single counter is contention-free in practice and the task→data
+//! mapping stays deterministic.
 //!
 //! The submitting thread participates in its own job, so a pool sized for
 //! `n` workers spawns `n - 1` OS threads. Nested submissions (a pooled

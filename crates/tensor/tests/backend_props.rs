@@ -191,6 +191,73 @@ proptest! {
         }
     }
 
+    /// The `(slice, row block, NR column strip)` task grid: products with
+    /// a single `mc` row block split their columns across workers, so a
+    /// strip split must never change a bit. Covers `N` below `NR`, ragged
+    /// `N`, `N` spanning several default panels, blockings whose `nc` is
+    /// not a multiple of `NR`, both transposes, worker counts 1–4, and the
+    /// batched paths with fewer slices than workers.
+    #[test]
+    fn small_m_task_grid_is_bit_identical(
+        m in 1usize..=64,
+        k in 1usize..160,
+        n_class in 0usize..3,
+        n_off in 0usize..16,
+        ta in any::<bool>(),
+        tb in any::<bool>(),
+        bt in 1usize..4,
+        seed in any::<u64>(),
+    ) {
+        let n = match n_class {
+            0 => 1 + n_off % 15,
+            1 => 16 * (1 + n_off) + 1 + n_off % 15,
+            _ => 2 * 512 + 1 + 7 * n_off,
+        };
+        let a = if ta { random_tensor(vec![k, m], seed) } else { random_tensor(vec![m, k], seed) };
+        let b = if tb {
+            random_tensor(vec![n, k], seed ^ 0x51DE)
+        } else {
+            random_tensor(vec![k, n], seed ^ 0x51DE)
+        };
+        let reference = gemm::matmul_reference(&a, &b, ta, tb).unwrap();
+        let packed = PackedTensor::pack(&b, tb).unwrap();
+        // Panels wider and narrower than one strip, neither a multiple of NR.
+        let [wide, narrow] = [40, 7].map(|nc| BlockSpec { mc: 64, kc: 37, nc });
+        for workers in 1..=4 {
+            let paths = [
+                ("matmul_tiled", gemm::matmul_tiled(&a, &b, ta, tb, workers).unwrap()),
+                ("matmul_tiled_with nc=40", gemm::matmul_tiled_with(&a, &b, ta, tb, workers, wide).unwrap()),
+                ("matmul_tiled_with nc=7", gemm::matmul_tiled_with(&a, &b, ta, tb, workers, narrow).unwrap()),
+                ("matmul_packed", gemm::matmul_packed(&a, &packed, ta, workers).unwrap()),
+            ];
+            for (path, y) in paths {
+                prop_assert!(
+                    y.data() == reference.data(),
+                    "{path} diverged: m={m} k={k} n={n} ta={ta} tb={tb} workers={workers}"
+                );
+            }
+        }
+
+        // Batched: `bt` slices of (m, k) against per-slice `B`.
+        let a3 = random_tensor(vec![bt, m, k], seed ^ 0xA3);
+        let b3 = random_tensor(if tb { vec![bt, n, k] } else { vec![bt, k, n] }, seed ^ 0xB3);
+        let expected = gemm::batched_matmul_reference_t(&a3, &b3, tb).unwrap();
+        let b3kn = if tb { b3.permute(&[0, 2, 1]).unwrap() } else { b3.clone() };
+        let packed3 = PackedTensor::pack_batched(&b3kn).unwrap();
+        for workers in 1..=4 {
+            let tiled = gemm::batched_matmul_tiled_t(&a3, &b3, tb, workers).unwrap();
+            prop_assert!(
+                tiled.data() == expected.data(),
+                "batched_matmul_tiled_t diverged: bt={bt} m={m} k={k} n={n} tb={tb} workers={workers}"
+            );
+            let fast = gemm::batched_matmul_packed(&a3, &packed3, workers).unwrap();
+            prop_assert!(
+                fast.data() == expected.data(),
+                "batched_matmul_packed diverged: bt={bt} m={m} k={k} n={n} workers={workers}"
+            );
+        }
+    }
+
     /// The public `Tensor::matmul_t` API routes through the tiled engine
     /// and therefore also matches the reference exactly.
     #[test]

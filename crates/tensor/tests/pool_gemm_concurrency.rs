@@ -6,7 +6,7 @@
 //! reference kernel however the submitters interleave.
 
 use lancet_tensor::pool::{self, SharedSliceMut};
-use lancet_tensor::{gemm, TensorRng};
+use lancet_tensor::{gemm, PackedTensor, Tensor, TensorRng};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 #[test]
@@ -42,6 +42,44 @@ fn concurrent_transposed_batched_matmuls_from_many_threads() {
                 for _ in 0..10 {
                     let y = gemm::batched_matmul_tiled_t(&a, &b, true, 0).unwrap();
                     assert_eq!(y.data(), reference.data(), "transposed batched diverged under concurrency");
+                }
+            });
+        }
+    });
+}
+
+#[test]
+fn concurrent_small_m_gemms_from_many_threads() {
+    // Single-row-block products split their column strips over the pool;
+    // while one submitter holds the job slot the others run their whole
+    // grid inline (the busy-slot fallback), which must not change a bit.
+    let mut rng = TensorRng::seed(44);
+    let b = rng.uniform(vec![300, 170], -1.0, 1.0);
+    let packed = PackedTensor::pack(&b, false).unwrap();
+    let b3 = rng.uniform(vec![2, 300, 170], -1.0, 1.0);
+    let packed3 = PackedTensor::pack_batched(&b3).unwrap();
+    let shapes: Vec<(Tensor, Tensor, Tensor, Tensor)> = [1, 2, 5, 8, 33, 64]
+        .into_iter()
+        .map(|m| {
+            let a = rng.uniform(vec![m, 300], -1.0, 1.0);
+            let a3 = rng.uniform(vec![2, m, 300], -1.0, 1.0);
+            let reference = gemm::matmul_reference(&a, &b, false, false).unwrap();
+            let reference3 = gemm::batched_matmul_reference(&a3, &b3).unwrap();
+            (a, reference, a3, reference3)
+        })
+        .collect();
+    std::thread::scope(|s| {
+        for t in 0..6 {
+            let (shapes, b, packed, packed3) = (&shapes, &b, &packed, &packed3);
+            s.spawn(move || {
+                for round in 0..40 {
+                    let (a, reference, a3, reference3) = &shapes[(t + round) % shapes.len()];
+                    let tiled = gemm::matmul_tiled(a, b, false, false, 0).unwrap();
+                    assert_eq!(tiled.data(), reference.data(), "small-M tiled diverged under concurrency");
+                    let fast = gemm::matmul_packed(a, packed, false, 0).unwrap();
+                    assert_eq!(fast.data(), reference.data(), "small-M prepacked diverged under concurrency");
+                    let batched = gemm::batched_matmul_packed(a3, packed3, 0).unwrap();
+                    assert_eq!(batched.data(), reference3.data(), "small-M batched diverged under concurrency");
                 }
             });
         }
