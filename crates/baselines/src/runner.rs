@@ -137,14 +137,8 @@ pub fn run_system(system: System, cfg: &GptMoeConfig, kind: ClusterKind) -> Resu
             let options = LancetOptions {
                 disable_dw_schedule: system == System::LancetPartitionOnly,
                 disable_partition: system == System::LancetDwOnly,
-                partition: Default::default(),
                 backward,
-                prefetch_lookahead: 1,
-                placement: None,
-                // Baseline comparisons are partition-level by definition;
-                // pin the tile scheduler off so an exported
-                // LANCET_TILE_COUNT cannot skew figure regeneration.
-                tile: None,
+                ..LancetOptions::default()
             };
             let lancet = Lancet::new(spec.clone(), cfg.gpus, options);
             let outcome = lancet.optimize(forward)?;

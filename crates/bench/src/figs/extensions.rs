@@ -134,18 +134,13 @@ pub fn hyperparams(quick: bool) -> Vec<Record> {
     let mut records = Vec::new();
     for (rho, gamma, iota) in grid {
         let options = LancetOptions {
-            disable_dw_schedule: false,
-            disable_partition: false,
             partition: PartitionOptions {
                 max_partitions: rho,
                 groups_per_gap: gamma,
                 max_range_groups: iota,
                 ..Default::default()
             },
-            backward: BackwardOptions::default(),
-            prefetch_lookahead: 1,
-            placement: None,
-            tile: None,
+            ..LancetOptions::default()
         };
         let lancet = Lancet::new(spec.clone(), gpus, options);
         let fwd = build_forward(&cfg).expect("build").graph;
@@ -190,15 +185,7 @@ pub fn allreduce_interference(quick: bool) -> Vec<Record> {
     for (allreduce, dual) in [(false, false), (true, false), (true, true)] {
         let backward = BackwardOptions { sgd_lr: None, optimizer: Default::default(), allreduce_grads: allreduce };
         for optimized in [false, true] {
-            let options = LancetOptions {
-                disable_dw_schedule: false,
-                disable_partition: false,
-                partition: PartitionOptions::default(),
-                backward: backward.clone(),
-                prefetch_lookahead: 1,
-                placement: None,
-                tile: None,
-            };
+            let options = LancetOptions { backward: backward.clone(), ..LancetOptions::default() };
             let lancet = Lancet::new(spec.clone(), gpus, options);
             let fwd = build_forward(&cfg).expect("build").graph;
             let graph = if optimized {

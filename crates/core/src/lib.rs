@@ -54,7 +54,6 @@ pub use lancet::{
 pub use prefetch::{prefetch_allgathers, PrefetchReport};
 pub use recompute::{recompute_segments, RecomputeReport};
 pub use partition::{
-    apply_partitions, apply_tile_schedule, infer_axes, partition_pass, partition_pass_with,
-    AxisSolution, PartAxis, PartitionMemo, PartitionOptions, PartitionReport, PartitionSpec,
-    TileReport, TileSchedule,
+    apply_partitions, infer_axes, partition_pass, partition_pass_with, AxisSolution, PartAxis,
+    PartitionMemo, PartitionOptions, PartitionReport, PartitionSpec,
 };

@@ -11,20 +11,13 @@
 //!    solver over per-op axis rules.
 //! 3. Codegen ([`apply_partitions`], `codegen` module) rewrites the
 //!    chosen ranges into software-pipelined chunk schedules.
-//!
-//! A fourth, optional stage ([`apply_tile_schedule`], `tile` module)
-//! refines the result below partition granularity: uniform all-to-all →
-//! expert-FFN → all-to-all segments are split into capacity tiles whose
-//! exchanges hide inside the expert compute (the Comet direction).
 
 mod axis;
 mod codegen;
 mod dp;
-mod tile;
 
 pub use axis::{infer_axes, AxisSolution, PartAxis};
 pub use codegen::{apply_partitions, PartitionSpec};
 pub use dp::{
     partition_pass, partition_pass_with, PartitionMemo, PartitionOptions, PartitionReport,
 };
-pub use tile::{apply_tile_schedule, TileReport, TileSchedule};

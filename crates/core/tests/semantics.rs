@@ -81,8 +81,6 @@ fn run(graph: &Graph, devices: usize) -> (Vec<f32>, HashMap<(String, usize), Ten
 
 fn options() -> LancetOptions {
     LancetOptions {
-        disable_dw_schedule: false,
-        disable_partition: false,
         partition: PartitionOptions {
             max_partitions: 2,
             groups_per_gap: 3,
@@ -90,8 +88,6 @@ fn options() -> LancetOptions {
             ..Default::default()
         },
         backward: BackwardOptions { sgd_lr: Some(0.05), optimizer: Default::default(), allreduce_grads: false },
-        prefetch_lookahead: 1,
-        placement: None,
         ..LancetOptions::default()
     }
 }

@@ -33,7 +33,7 @@ mod device;
 mod placement;
 mod profiler;
 
-pub use comm::{tile_payload_bytes, CommCostModel, CommModel};
+pub use comm::{CommCostModel, CommModel};
 pub use compute::ComputeModel;
 pub use device::{ClusterKind, ClusterSpec, DeviceSpec, NetworkSpec};
 pub use placement::{

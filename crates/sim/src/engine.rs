@@ -108,12 +108,6 @@ impl Simulator {
         } else {
             HashMap::new()
         };
-        // Tile-interleave mode: per-tile completion times of tensors whose
-        // producer was split along the capacity axis. A consumer the tile
-        // chain cannot follow falls back to `tensor_ready` (= last tile),
-        // which is the whole-buffer barrier.
-        let tiles_cfg = self.cfg.tiles.max(1);
-        let mut tile_ready: HashMap<TensorId, Vec<f64>> = HashMap::new();
 
         for (pos, instr) in graph.instrs().iter().enumerate() {
             let ready = instr
@@ -123,114 +117,6 @@ impl Simulator {
                 .fold(0.0f64, f64::max);
             let in_shapes: Vec<&Shape> = instr.inputs.iter().map(|&t| &graph.tensor(t).shape).collect();
             let out_shapes: Vec<&Shape> = instr.outputs.iter().map(|&t| &graph.tensor(t).shape).collect();
-
-            // ---- Tile-interleave mode (Comet direction) -----------------
-            // Uniform all-to-alls split into per-tile exchanges on the comm
-            // stream; the expert ops they feed chain per tile on the
-            // compute stream. Dependency edges are per tile: tile k's
-            // compute starts when tile k's transfer lands, so later tiles'
-            // transfers hide behind earlier tiles' compute.
-            if tiles_cfg > 1
-                && matches!(instr.op, Op::AllToAll)
-                && in_shapes[0].rank() == 3
-                && in_shapes[0].dim(1) >= tiles_cfg
-            {
-                let ordinal = a2a_seen;
-                a2a_seen += 1;
-                let profile =
-                    placement_profiles.as_ref().map(|ps| ps[(ordinal / 2) % ps.len()]);
-                let rows = in_shapes[0].dim(1);
-                let payloads =
-                    lancet_cost::tile_payload_bytes(rows, instr.op.comm_bytes(&in_shapes), tiles_cfg);
-                let deps: Option<Vec<f64>> = tile_ready.get(&instr.inputs[0]).cloned();
-                let mut ends = Vec::with_capacity(payloads.len());
-                for (k, &bytes) in payloads.iter().enumerate() {
-                    let dep = deps.as_ref().map_or(ready, |v| v[k]);
-                    let start = dep.max(comm_free);
-                    let mut dur = self.a2a_payload_time(bytes, profile);
-                    let (factor, dropped) = self.cfg.fault_plan.comm_factor(start, pos);
-                    if factor > 1.0 {
-                        faults.comm_degraded += 1;
-                        faults.injected_delay += dur * (factor - 1.0);
-                        dur *= factor;
-                    }
-                    if dropped {
-                        faults.link_drops += 1;
-                    }
-                    let end = start + dur;
-                    comm_free = end;
-                    comm_busy += dur;
-                    timeline.push(TimelineEvent {
-                        position: pos,
-                        op: instr.op.name(),
-                        stream: Stream::Comm,
-                        start,
-                        end,
-                        tile: Some(k),
-                    });
-                    ends.push(end);
-                }
-                let last = *ends.last().expect("at least one tile");
-                for &o in &instr.outputs {
-                    tensor_ready.insert(o, last);
-                }
-                tile_ready.insert(instr.outputs[0], ends);
-                continue;
-            }
-            if tiles_cfg > 1
-                && tileable_compute(&instr.op)
-                && instr.outputs.len() == 1
-                && !sparse_experts.contains_key(&pos)
-                && in_shapes[0].rank() == 3
-                && instr.inputs.iter().any(|t| tile_ready.contains_key(t))
-            {
-                let full =
-                    self.compute.op_time(&instr.op, &in_shapes, &out_shapes) * self.cfg.compute_overhead;
-                let launch = self.compute.device().launch_overhead;
-                let rows = in_shapes[0].dim(1).max(1);
-                let payloads = lancet_cost::tile_payload_bytes(rows, rows as u64, tiles_cfg);
-                let mut ends = Vec::with_capacity(payloads.len());
-                for (k, &tile_rows) in payloads.iter().enumerate() {
-                    let dep = instr
-                        .inputs
-                        .iter()
-                        .map(|t| {
-                            tile_ready
-                                .get(t)
-                                .map(|v| v[k])
-                                .unwrap_or_else(|| tensor_ready.get(t).copied().unwrap_or(0.0))
-                        })
-                        .fold(0.0f64, f64::max);
-                    let start = dep.max(compute_free);
-                    // Each tile pays the kernel launch; the data-dependent
-                    // remainder scales with its row share.
-                    let mut dur =
-                        launch + (full - launch).max(0.0) * (tile_rows as f64 / rows as f64);
-                    let factor = self.cfg.fault_plan.compute_factor(start);
-                    if factor > 1.0 {
-                        faults.compute_slowed += 1;
-                        faults.injected_delay += dur * (factor - 1.0);
-                        dur *= factor;
-                    }
-                    let end = start + dur;
-                    compute_free = end;
-                    compute_busy += dur;
-                    timeline.push(TimelineEvent {
-                        position: pos,
-                        op: instr.op.name(),
-                        stream: Stream::Compute,
-                        start,
-                        end,
-                        tile: Some(k),
-                    });
-                    ends.push(end);
-                }
-                let last = *ends.last().expect("at least one tile");
-                tensor_ready.insert(instr.outputs[0], last);
-                tile_ready.insert(instr.outputs[0], ends);
-                continue;
-            }
-            // ---- Whole-operator charging (the default) ------------------
 
             let (stream, start, dur) = if instr.op.is_comm() {
                 // Non-a2a collectives may use a second channel so they run
@@ -305,14 +191,7 @@ impl Simulator {
             for &o in &instr.outputs {
                 tensor_ready.insert(o, end);
             }
-            timeline.push(TimelineEvent {
-                position: pos,
-                op: instr.op.name(),
-                stream,
-                start,
-                end,
-                tile: None,
-            });
+            timeline.push(TimelineEvent { position: pos, op: instr.op.name(), stream, start, end });
         }
 
         let iteration_time = compute_free.max(comm_free).max(aux_free);
@@ -376,25 +255,6 @@ impl Simulator {
         SimStats { iterations: n, mean, std: var.sqrt(), min, max }
     }
 
-    /// Placement-aware all-to-all payload charge. The skewed model
-    /// replaces the naive path; under hierarchical a2a node-aggregation
-    /// already hides the per-peer skew, so only the busiest receiver's
-    /// load factor stretches the exchange. Shared by whole-operator
-    /// charging and the per-tile exchanges of tile-interleave mode.
-    fn a2a_payload_time(&self, bytes: u64, profile: Option<lancet_cost::LayerProfile>) -> f64 {
-        let gpus = self.cfg.gpus;
-        match (self.cfg.hierarchical_a2a, profile) {
-            (false, Some(p)) => {
-                self.comm.all_to_all_time_skewed(bytes, gpus, p.inter_frac, p.load_factor)
-            }
-            (true, Some(p)) => {
-                self.comm.hierarchical_all_to_all_time(bytes, gpus) * p.load_factor.max(1.0)
-            }
-            (false, None) => self.comm.all_to_all_time(bytes, gpus),
-            (true, None) => self.comm.hierarchical_all_to_all_time(bytes, gpus),
-        }
-    }
-
     fn comm_duration(
         &self,
         op: &Op,
@@ -404,7 +264,22 @@ impl Simulator {
         profile: Option<lancet_cost::LayerProfile>,
     ) -> f64 {
         let gpus = self.cfg.gpus;
-        let a2a_payload = |bytes: u64| -> f64 { self.a2a_payload_time(bytes, profile) };
+        // Placement-aware payload charge. The skewed model replaces the
+        // naive path; under hierarchical a2a node-aggregation already
+        // hides the per-peer skew, so only the busiest receiver's load
+        // factor stretches the exchange.
+        let a2a_payload = |bytes: u64| -> f64 {
+            match (self.cfg.hierarchical_a2a, profile) {
+                (false, Some(p)) => {
+                    self.comm.all_to_all_time_skewed(bytes, gpus, p.inter_frac, p.load_factor)
+                }
+                (true, Some(p)) => {
+                    self.comm.hierarchical_all_to_all_time(bytes, gpus) * p.load_factor.max(1.0)
+                }
+                (false, None) => self.comm.all_to_all_time(bytes, gpus),
+                (true, None) => self.comm.hierarchical_all_to_all_time(bytes, gpus),
+            }
+        };
         match op {
             Op::AllToAll => {
                 // Uniform all-to-all transmits the capacity-padded buffer.
@@ -433,26 +308,6 @@ impl Simulator {
             _ => unreachable!("comm_duration called on compute op"),
         }
     }
-}
-
-/// Ops the tile chain may follow through the expert region: row-wise
-/// along the capacity axis, so per-tile completion times are meaningful.
-/// Mirrors the op set `lancet_core::apply_tile_schedule` tiles.
-fn tileable_compute(op: &Op) -> bool {
-    matches!(
-        op,
-        Op::BatchedMatMul { .. }
-            | Op::ExpertsLayout { .. }
-            | Op::ExpertsLayoutInv { .. }
-            | Op::BiasAdd
-            | Op::Gelu
-            | Op::Silu
-            | Op::Relu
-            | Op::Dropout { .. }
-            | Op::Scale { .. }
-            | Op::Add
-            | Op::Mul
-    )
 }
 
 /// For every irregular all-to-all position, the token count of the chunk

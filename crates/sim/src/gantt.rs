@@ -6,13 +6,9 @@ use crate::{SimReport, Stream};
 /// Renders the two streams as fixed-width ASCII tracks.
 ///
 /// Each column is `iteration_time / width`; compute cells draw `#`,
-/// communication cells `=`, idle `.`. Events produced by the simulator's
-/// tile-interleave mode alternate marks by tile parity — `#`/`+` on the
-/// compute track, `=`/`-` on the comm track — so the per-tile
-/// interleaving is visible at a glance. A cell is marked when any
-/// instruction of that stream is active within its time slice (the
-/// earliest event in timeline order wins the cell). When the report
-/// carries injected faults, a trailing line summarizes what fired
+/// communication cells `=`, idle `.`. A cell is marked when any
+/// instruction of that stream is active within its time slice. When the
+/// report carries injected faults, a trailing line summarizes what fired
 /// (stretched compute, degraded collectives, retransmissions).
 ///
 /// # Example
@@ -29,8 +25,8 @@ use crate::{SimReport, Stream};
 ///     oom: false,
 ///     faults: FaultSummary::default(),
 ///     timeline: vec![
-///         TimelineEvent { position: 0, op: "matmul", stream: Stream::Compute, start: 0.0, end: 2.0, tile: None },
-///         TimelineEvent { position: 1, op: "all_to_all", stream: Stream::Comm, start: 2.0, end: 4.0, tile: None },
+///         TimelineEvent { position: 0, op: "matmul", stream: Stream::Compute, start: 0.0, end: 2.0 },
+///         TimelineEvent { position: 1, op: "all_to_all", stream: Stream::Comm, start: 2.0, end: 4.0 },
 ///     ],
 /// };
 /// let chart = render_gantt(&report, 8);
@@ -42,7 +38,7 @@ pub fn render_gantt(report: &SimReport, width: usize) -> String {
     let width = width.max(1);
     let total = report.iteration_time.max(f64::MIN_POSITIVE);
     let cell = total / width as f64;
-    let mut rows = [vec!['.'; width], vec!['.'; width]];
+    let mut rows = [vec![false; width], vec![false; width]];
     for e in &report.timeline {
         let idx = match e.stream {
             Stream::Compute => 0,
@@ -51,25 +47,19 @@ pub fn render_gantt(report: &SimReport, width: usize) -> String {
         if e.end <= e.start {
             continue;
         }
-        let mark = match (idx, e.tile) {
-            (0, Some(t)) if t % 2 == 1 => '+',
-            (0, _) => '#',
-            (_, Some(t)) if t % 2 == 1 => '-',
-            (_, _) => '=',
-        };
         let first = ((e.start / cell).floor() as usize).min(width - 1);
         let last = (((e.end / cell).ceil() as usize).max(first + 1)).min(width);
         for c in first..last {
-            if rows[idx][c] == '.' {
-                rows[idx][c] = mark;
-            }
+            rows[idx][c] = true;
         }
     }
-    let draw = |cells: &[char]| -> String { cells.iter().collect() };
+    let draw = |cells: &[bool], mark: char| -> String {
+        cells.iter().map(|&b| if b { mark } else { '.' }).collect()
+    };
     let mut chart = format!(
         "compute |{}|\ncomm    |{}|\n{:>9} {:.1} ms, {:.0}% of comm hidden\n",
-        draw(&rows[0]),
-        draw(&rows[1]),
+        draw(&rows[0], '#'),
+        draw(&rows[1], '='),
         "total",
         report.iteration_time * 1e3,
         report.overlap_ratio() * 100.0
@@ -102,8 +92,8 @@ mod tests {
             oom: false,
             faults: crate::FaultSummary::default(),
             timeline: vec![
-                TimelineEvent { position: 0, op: "matmul", stream: Stream::Compute, start: 0.0, end: 3.0, tile: None },
-                TimelineEvent { position: 1, op: "all_to_all", stream: Stream::Comm, start: 2.0, end: 4.0, tile: None },
+                TimelineEvent { position: 0, op: "matmul", stream: Stream::Compute, start: 0.0, end: 3.0 },
+                TimelineEvent { position: 1, op: "all_to_all", stream: Stream::Comm, start: 2.0, end: 4.0 },
             ],
         }
     }
@@ -130,29 +120,6 @@ mod tests {
         r.timeline.clear();
         let chart = render_gantt(&r, 4);
         assert!(chart.contains("compute |....|"));
-    }
-
-    #[test]
-    fn tile_events_stripe_by_parity() {
-        let r = SimReport {
-            iteration_time: 4.0,
-            compute_busy: 2.0,
-            comm_busy: 2.0,
-            overlapped: 0.0,
-            peak_memory: 0,
-            oom: false,
-            faults: crate::FaultSummary::default(),
-            timeline: vec![
-                TimelineEvent { position: 0, op: "all_to_all", stream: Stream::Comm, start: 0.0, end: 1.0, tile: Some(0) },
-                TimelineEvent { position: 0, op: "all_to_all", stream: Stream::Comm, start: 1.0, end: 2.0, tile: Some(1) },
-                TimelineEvent { position: 1, op: "batched_matmul", stream: Stream::Compute, start: 1.0, end: 2.0, tile: Some(0) },
-                TimelineEvent { position: 1, op: "batched_matmul", stream: Stream::Compute, start: 2.0, end: 3.0, tile: Some(1) },
-            ],
-        };
-        let chart = render_gantt(&r, 8);
-        let lines: Vec<&str> = chart.lines().collect();
-        assert_eq!(lines[0], "compute |..##++..|", "{chart}");
-        assert_eq!(lines[1], "comm    |==--....|", "{chart}");
     }
 
     #[test]

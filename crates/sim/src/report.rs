@@ -27,10 +27,6 @@ pub struct TimelineEvent {
     pub start: f64,
     /// End time, seconds.
     pub end: f64,
-    /// Tile index when the instruction was split by tile-interleave mode
-    /// (`SimConfig::tiles` ≥ 2); `None` for whole-operator events. One
-    /// instruction then contributes several events sharing a `position`.
-    pub tile: Option<usize>,
 }
 
 impl TimelineEvent {
@@ -115,7 +111,7 @@ mod tests {
             peak_memory: 1000,
             oom: false,
             faults: FaultSummary::default(),
-            timeline: vec![TimelineEvent { position: 0, op: "matmul", stream: Stream::Compute, start: 0.0, end: 7.0, tile: None }],
+            timeline: vec![TimelineEvent { position: 0, op: "matmul", stream: Stream::Compute, start: 0.0, end: 7.0 }],
         }
     }
 
@@ -143,7 +139,6 @@ mod tests {
             stream: Stream::Comm,
             start: 7.0,
             end: 10.0,
-            tile: None,
         });
         r.timeline.push(TimelineEvent {
             position: 2,
@@ -151,7 +146,6 @@ mod tests {
             stream: Stream::Compute,
             start: 10.0,
             end: 11.0,
-            tile: None,
         });
         let by_op = r.time_by_op();
         assert_eq!(by_op[0], ("matmul", 8.0));

@@ -44,22 +44,16 @@ pub fn to_chrome_trace(report: &SimReport) -> String {
             Stream::Comm => (2, "comm"),
             Stream::CommAux => (3, "comm-aux"),
         };
-        // Complete event: name, category (track), timestamp+duration in
-        // µs. Tile-interleave sub-events carry their tile index so the
-        // per-tile pipeline is inspectable in the viewer.
-        let args = match e.tile {
-            Some(t) => format!("{{\"position\": {}, \"tile\": {}}}", e.position, t),
-            None => format!("{{\"position\": {}}}", e.position),
-        };
+        // Complete event: name, category (track), timestamp+duration in µs.
         out.push_str(&format!(
             "  {{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \"pid\": 0, \"tid\": {}, \
-             \"ts\": {:.3}, \"dur\": {:.3}, \"args\": {}}}",
+             \"ts\": {:.3}, \"dur\": {:.3}, \"args\": {{\"position\": {}}}}}",
             e.op,
             track,
             tid,
             e.start * 1e6,
             e.duration() * 1e6,
-            args
+            e.position
         ));
     }
     out.push_str("\n]\n");
@@ -81,8 +75,8 @@ mod tests {
             oom: false,
             faults: crate::FaultSummary::default(),
             timeline: vec![
-                TimelineEvent { position: 0, op: "matmul", stream: Stream::Compute, start: 0.0, end: 1.0, tile: None },
-                TimelineEvent { position: 1, op: "all_to_all", stream: Stream::Comm, start: 0.5, end: 1.5, tile: None },
+                TimelineEvent { position: 0, op: "matmul", stream: Stream::Compute, start: 0.0, end: 1.0 },
+                TimelineEvent { position: 1, op: "all_to_all", stream: Stream::Comm, start: 0.5, end: 1.5 },
             ],
         }
     }
@@ -104,15 +98,6 @@ mod tests {
         let json = to_chrome_trace(&report());
         assert!(json.contains("\"ts\": 500000.000"), "{json}");
         assert!(json.contains("\"dur\": 1000000.000"));
-    }
-
-    #[test]
-    fn tile_index_lands_in_args() {
-        let mut r = report();
-        r.timeline[1].tile = Some(3);
-        let json = to_chrome_trace(&r);
-        assert!(json.contains("\"args\": {\"position\": 1, \"tile\": 3}"), "{json}");
-        assert!(json.contains("\"args\": {\"position\": 0}"), "{json}");
     }
 
     #[test]

@@ -103,23 +103,19 @@ fn default_plan_bytes_are_golden() {
     use lancet_repro::store::format::fnv1a;
 
     let cfg = benchmark_cfg(GateKind::Switch);
-    let lancet = Lancet::new(
-        ClusterSpec::v100(2),
-        cfg.gpus,
-        LancetOptions { tile: None, ..Default::default() },
-    );
+    let lancet = Lancet::new(ClusterSpec::v100(2), cfg.gpus, LancetOptions::default());
     let fwd = build_forward(&cfg).unwrap().graph;
     let out = lancet.optimize(fwd).unwrap();
     // FNV-1a 64 over the printed program — stable across processes and
     // platforms, unlike `DefaultHasher`.
     let hash = fnv1a(lancet_repro::ir::to_text(&out.graph).as_bytes());
     // The partition-level training plan for the benchmark config, byte
-    // for byte. This is the compatibility surface the tile scheduler (and
-    // every future pass) must not move by default: serving plan caches
-    // and decode snapshots key on stable tensor ids. If a change to the
-    // optimizer is *intentional*, re-run this test with `--nocapture`,
-    // confirm the printed hash is identical across two separate runs, and
-    // update the constant together with a CHANGELOG note.
+    // for byte. This is the compatibility surface every optimizer pass
+    // must not move by default: serving plan caches and decode snapshots
+    // key on stable tensor ids. If a change to the optimizer is
+    // *intentional*, re-run this test with `--nocapture`, confirm the
+    // printed hash is identical across two separate runs, and update the
+    // constant together with a CHANGELOG note.
     println!("GOLDEN {hash:#018x}");
     assert_eq!(
         hash, 0x8dcae55ff5ce38d2,
